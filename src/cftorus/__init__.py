@@ -16,8 +16,6 @@ from .scalars import (
     ApproxComplex,
     Cyclotomic,
     DEFAULT_TOL,
-    NovikovElement,
-    novikov_normalize,
     root_of_unity,
     scalar_is_zero,
 )
@@ -40,6 +38,7 @@ from .floer import (
     RankTable,
     SpinStructure,
     WeightVector,
+    brane_configs,
     brane_scan,
     brane_scan_cells,
     delta2,
@@ -48,7 +47,7 @@ from .floer import (
     floer_ranks_bruteforce,
     floer_ranks_closedform,
     full_differential,
-    spin_from_subset,
+    spin_configs,
     spin_scan,
     standard_spin,
     weights,

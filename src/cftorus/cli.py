@@ -10,21 +10,25 @@ overrides the default tolerance; --tol overrides both.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
 from fractions import Fraction
-from math import comb
+from functools import partial
+from math import comb, inf, nan
 from typing import Optional
 
 from . import discs, maslov, oracle, signs
 from .floer import (
     HolonomyAssignment,
     SpinStructure,
+    brane_configs,
     evaluate_cell,
+    spin_configs,
     standard_spin,
 )
 from .scalars import DEFAULT_TOL
@@ -32,19 +36,15 @@ from .scalars import DEFAULT_TOL
 SPIN_SCAN_MAX_N = 12
 BRANE_SCAN_MAX_N = 6
 
+#: command -> (largest n, cell count formula, config generator, summary noun)
+SCANS = {
+    "spin-scan": (SPIN_SCAN_MAX_N, "2^n", spin_configs, "spin structures"),
+    "brane-scan": (BRANE_SCAN_MAX_N, "(n+1)^n", brane_configs,
+                   "holonomy assignments"),
+}
+
 CSV_FIELDS = ("n", "spin", "holonomy", "ranks_by_lambda_degree",
               "ranks_by_cochain_degree", "nonvanishing", "backend")
-
-
-@dataclass
-class RunConfig:
-    n: int
-    spin: SpinStructure
-    holonomy: HolonomyAssignment
-    backend: str
-    tol: float
-    fmt: str
-    seed: Optional[int] = None
 
 
 def _is_float(token: str) -> bool:
@@ -98,12 +98,16 @@ def parse_holonomy(text: Optional[str], n: int, tol: float,
             values.append(complex(float(re_part), float(im_part)))
             angles.append(None)
         elif "/" in entry:
-            angles.append(Fraction(entry))
+            try:
+                angles.append(Fraction(entry))
+            except ZeroDivisionError:
+                raise ValueError("holonomy entry %r has a zero denominator"
+                                 % entry) from None
             values.append(None)
         else:
             as_float = float(entry)
-            if as_float == int(as_float) and int(as_float) in (1, -1):
-                angles.append(Fraction(0) if int(as_float) == 1 else Fraction(1, 2))
+            if as_float in (1.0, -1.0):
+                angles.append(Fraction(0) if as_float == 1.0 else Fraction(1, 2))
                 values.append(None)
             else:
                 values.append(complex(as_float, 0.0))
@@ -116,7 +120,6 @@ def parse_holonomy(text: Optional[str], n: int, tol: float,
         if has_exact and has_approx:
             print("warning: mixed holonomy formats; promoted to the "
                   "approximate backend", file=sys.stderr)
-        import cmath
         promoted = [v if v is not None else cmath.exp(2j * cmath.pi * float(a))
                     for a, v in zip(angles, values)]
         return HolonomyAssignment.from_values(promoted, tol)
@@ -151,75 +154,41 @@ def _emit(record: dict, fmt: str) -> None:
         _emit_json(record)
 
 
-# -- scan cell workers (top level so process pools can pickle them) ---------
-
-def _spin_cell_dict(args) -> dict:
-    n, bits, tol = args
-    subset = [i + 1 for i in range(n) if bits >> i & 1]
-    cell = evaluate_cell(SpinStructure.from_subset(subset, n),
-                         HolonomyAssignment.trivial(n), tol)
-    return cell.to_json_dict()
-
-
-def _brane_cell_dict(args) -> dict:
-    n, ks, tol = args
-    hol = HolonomyAssignment.from_angles([Fraction(k, n + 1) for k in ks])
-    cell = evaluate_cell(standard_spin(n), hol, tol)
-    return cell.to_json_dict()
-
-
-def _run_cells(worker, cell_args, jobs: int):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(worker, cell_args, chunksize=8)
-    else:
-        for args in cell_args:
-            yield worker(args)
+def _cell_record(config, tol: float) -> dict:
+    """One scan cell's result record (top level, so process pools can pickle it)."""
+    spin, holonomy = config
+    return evaluate_cell(spin, holonomy, tol).to_json_dict()
 
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_hf(cfg: RunConfig) -> int:
-    cell = evaluate_cell(cfg.spin, cfg.holonomy, cfg.tol)
-    if cfg.fmt == "csv":
+def cmd_hf(spin: SpinStructure, holonomy: HolonomyAssignment, tol: float,
+           fmt: str) -> int:
+    cell = evaluate_cell(spin, holonomy, tol)
+    if fmt == "csv":
         _emit_csv_header()
-    _emit(cell.to_json_dict(), cfg.fmt)
+    _emit(cell.to_json_dict(), fmt)
     return 0
 
 
-def cmd_spin_scan(n: int, tol: float, fmt: str, jobs: int) -> int:
-    if n < 1 or n > SPIN_SCAN_MAX_N:
-        print("spin-scan supports 1 <= n <= %d (2^n cells); got n=%d"
-              % (SPIN_SCAN_MAX_N, n), file=sys.stderr)
+def cmd_scan(command: str, n: int, tol: float, fmt: str, jobs: int) -> int:
+    max_n, cell_count, configs, noun = SCANS[command]
+    if n < 1 or n > max_n:
+        print("%s supports 1 <= n <= %d (%s cells); got n=%d"
+              % (command, max_n, cell_count, n), file=sys.stderr)
         return 2
     if fmt == "csv":
         _emit_csv_header()
-    cell_args = [(n, bits, tol) for bits in range(1 << n)]
-    hits = 0
-    for record in _run_cells(_spin_cell_dict, cell_args, jobs):
-        hits += bool(record["nonvanishing"])
-        _emit(record, fmt)
-    print("nonvanishing: %d of %d spin structures" % (hits, 1 << n),
-          file=sys.stderr)
-    return 0
-
-
-def cmd_brane_scan(n: int, tol: float, fmt: str, jobs: int) -> int:
-    if n < 1 or n > BRANE_SCAN_MAX_N:
-        print("brane-scan supports 1 <= n <= %d ((n+1)^n cells); got n=%d"
-              % (BRANE_SCAN_MAX_N, n), file=sys.stderr)
-        return 2
-    if fmt == "csv":
-        _emit_csv_header()
-    from itertools import product
-
-    cell_args = [(n, ks, tol) for ks in product(range(n + 1), repeat=n)]
-    hits = 0
-    for record in _run_cells(_brane_cell_dict, cell_args, jobs):
-        hits += bool(record["nonvanishing"])
-        _emit(record, fmt)
-    print("nonvanishing: %d of %d holonomy assignments" % (hits, len(cell_args)),
-          file=sys.stderr)
+    worker = partial(_cell_record, tol=tol)
+    hits = cells = 0
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        records = (pool.map(worker, configs(n), chunksize=8) if pool
+                   else map(worker, configs(n)))
+        for record in records:
+            cells += 1
+            hits += bool(record["nonvanishing"])
+            _emit(record, fmt)
+    print("nonvanishing: %d of %d %s" % (hits, cells, noun), file=sys.stderr)
     return 0
 
 
@@ -288,8 +257,6 @@ def _selftest_checks(tol: float):
             assert maslov.disc_boundary_maslov(d, tol) == discs.maslov_index(d)
 
     def disc_solver_roundtrip():
-        import cmath
-
         rng = random.Random(13)
         for _ in range(10):
             n = rng.randint(1, 3)
@@ -374,12 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_tol(cli_value: Optional[float]) -> float:
+    """--tol, else CF_TOL, else DEFAULT_TOL; refused unless finite and positive."""
     if cli_value is not None:
-        return cli_value
-    env = os.environ.get("CF_TOL")
-    if env:
-        return float(env)
-    return DEFAULT_TOL
+        source, text = "--tol", cli_value
+    else:
+        source, text = "CF_TOL", os.environ.get("CF_TOL") or DEFAULT_TOL
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = nan  # refused just below, naming the source
+    if not 0 < tol < inf:
+        raise ValueError("%s must be a finite positive number, got %r"
+                         % (source, text))
+    return tol
 
 
 def main(argv=None) -> int:
@@ -390,17 +364,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         tol = resolve_tol(getattr(args, "tol", None))
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
         if args.command == "hf":
             spin = parse_spin(args.spin, args.n)
             holonomy = parse_holonomy(args.holonomy, args.n, tol, args.backend)
-            cfg = RunConfig(args.n, spin, holonomy,
-                            "exact" if holonomy.exact else "approx",
-                            tol, args.format)
-            return cmd_hf(cfg)
-        if args.command == "spin-scan":
-            return cmd_spin_scan(args.n, tol, args.format, args.jobs)
-        if args.command == "brane-scan":
-            return cmd_brane_scan(args.n, tol, args.format, args.jobs)
+            return cmd_hf(spin, holonomy, tol, args.format)
+        if args.command in SCANS:
+            return cmd_scan(args.command, args.n, tol, args.format, args.jobs)
         if args.command == "maslov-check":
             return cmd_maslov_check(args.count, args.seed, tol)
         if args.command == "selftest":

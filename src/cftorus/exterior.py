@@ -60,10 +60,6 @@ def _basis_positions(n: int, k: int) -> dict:
     return {I: pos for pos, I in enumerate(index_sets(n, k))}
 
 
-def basis_position(n: int, I: IndexSet) -> int:
-    return _basis_positions(n, len(I))[tuple(I)]
-
-
 def insert_sign(j: int, I: Sequence[int], n: int | None = None):
     """Sign and index set of L_j wedged onto L_I from the left.
 
@@ -80,10 +76,12 @@ def insert_sign(j: int, I: Sequence[int], n: int | None = None):
     return (-1) ** below, merged
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class ExteriorClass:
     """Formal linear combination of wedge monomials L_I over a scalar field."""
 
-    __slots__ = ("n", "terms")
+    n: int
+    terms: dict
 
     def __init__(self, n: int, terms=None, tol: float = DEFAULT_TOL):
         stored = {}
@@ -93,9 +91,6 @@ class ExteriorClass:
                 stored[I] = stored[I] + coeff if I in stored else coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", stored)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExteriorClass values are immutable")
 
     @classmethod
     def unit(cls, n: int) -> "ExteriorClass":

@@ -97,14 +97,11 @@ class SpinStructure:
         return all(e == 1 for e in self.eps)
 
 
-def spin_from_subset(subset: Iterable[int], n: int) -> SpinStructure:
-    return SpinStructure.from_subset(subset, n)
-
-
 def standard_spin(n: int) -> SpinStructure:
     return SpinStructure.from_subset((), n)
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class HolonomyAssignment:
     """Unit holonomies (h_1,..,h_n) with derived h_0 = (h_1 * .. * h_n)^-1.
 
@@ -113,14 +110,15 @@ class HolonomyAssignment:
     within the tolerance.
     """
 
-    __slots__ = ("h", "h0", "angles", "exact")
+    h: tuple
+    h0: object
+    angles: Optional[tuple]
+    exact: bool
 
-    def __init__(self, h: Sequence, h0, angles=None, exact=None):
+    def __init__(self, h: Sequence, h0, angles: Optional[Sequence], exact: bool):
         object.__setattr__(self, "h", tuple(h))
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "angles", tuple(angles) if angles is not None else None)
-        if exact is None:
-            exact = all(is_exact_scalar(x) for x in self.h) and is_exact_scalar(h0)
         object.__setattr__(self, "exact", exact)
         prod = h0
         for x in self.h:
@@ -131,18 +129,13 @@ class HolonomyAssignment:
         elif abs(scalar_to_complex(prod) - 1.0) > 1e-6:
             raise ValueError("holonomy product h_0 * h_1 * .. * h_n must be 1")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HolonomyAssignment values are immutable")
-
     @property
     def n(self) -> int:
         return len(self.h)
 
     @classmethod
-    def trivial(cls, n: int, exact: bool = True) -> "HolonomyAssignment":
-        if exact:
-            return cls.from_angles([Fraction(0)] * n)
-        return cls.from_values([1.0 + 0j] * n)
+    def trivial(cls, n: int) -> "HolonomyAssignment":
+        return cls.from_angles([Fraction(0)] * n)
 
     @classmethod
     def from_angles(cls, angles: Sequence[Fraction]) -> "HolonomyAssignment":
@@ -160,7 +153,7 @@ class HolonomyAssignment:
         vals = []
         for x in values:
             z = scalar_to_complex(x)
-            if abs(abs(z) - 1.0) > tol:
+            if not abs(abs(z) - 1.0) <= tol:  # also refuses nan and inf
                 raise ValueError("holonomy %r is not unit modulus within %g" % (x, tol))
             vals.append(ApproxComplex(z))
         prod = 1.0 + 0j
@@ -182,10 +175,13 @@ class HolonomyAssignment:
         return "HolonomyAssignment(%s)" % (", ".join(self.entry_strings()),)
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class WeightVector:
     """Combined spin/holonomy weights c_j = eps_j * h_j and v_j = c_j - c_0."""
 
-    __slots__ = ("c", "v", "exact")
+    c: tuple
+    v: tuple
+    exact: bool
 
     def __init__(self, c: Sequence, v: Sequence, exact: Optional[bool] = None):
         object.__setattr__(self, "c", tuple(c))
@@ -195,9 +191,6 @@ class WeightVector:
         object.__setattr__(self, "exact", exact)
         if len(self.c) != len(self.v) + 1:
             raise ValueError("need one more c entry than v entries")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightVector values are immutable")
 
     @property
     def n(self) -> int:
@@ -328,10 +321,12 @@ def dimension_deficit(b: HomotopyClass) -> int:
     return (b.maslov_index - 1) - support
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class NovikovCochain:
     """Cochain with formal-variable coefficients: exponent -> class."""
 
-    __slots__ = ("n", "parts")
+    n: int
+    parts: dict
 
     def __init__(self, n: int, parts: Optional[Dict[int, ExteriorClass]] = None,
                  tol: float = DEFAULT_TOL):
@@ -345,9 +340,6 @@ class NovikovCochain:
                 stored[exp] = cls
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "parts", stored)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NovikovCochain values are immutable")
 
     @classmethod
     def from_class(cls, x: ExteriorClass, exp: int = 0) -> "NovikovCochain":
@@ -454,7 +446,7 @@ def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
 # scan drivers
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ScanCell:
     """One (spin, holonomy) configuration with its computed rank table."""
 
@@ -494,26 +486,33 @@ def evaluate_cell(spin: SpinStructure, holonomy: HolonomyAssignment,
                     "exact" if w.exact else "approx")
 
 
-def spin_scan(n: int, tol: float = DEFAULT_TOL):
-    """Rank tables for all 2^n spin structures under trivial holonomy."""
+def spin_configs(n: int) -> Iterator[Tuple[SpinStructure, HolonomyAssignment]]:
+    """All 2^n spin structures under trivial holonomy, by subset bit mask."""
     if n < 1:
         raise ValueError("n must be >= 1")
     hol = HolonomyAssignment.trivial(n)
-    cells = []
     for bits in range(1 << n):
         subset = [i + 1 for i in range(n) if bits >> i & 1]
-        cells.append(evaluate_cell(SpinStructure.from_subset(subset, n), hol, tol))
-    return cells
+        yield SpinStructure.from_subset(subset, n), hol
 
 
-def brane_scan_cells(n: int, tol: float = DEFAULT_TOL) -> Iterator[ScanCell]:
+def brane_configs(n: int) -> Iterator[Tuple[SpinStructure, HolonomyAssignment]]:
     """All (n+1)^n tuples of (n+1)-th roots of unity, standard spin."""
     if n < 1:
         raise ValueError("n must be >= 1")
     spin = standard_spin(n)
     for ks in product(range(n + 1), repeat=n):
-        hol = HolonomyAssignment.from_angles([Fraction(k, n + 1) for k in ks])
-        yield evaluate_cell(spin, hol, tol)
+        yield spin, HolonomyAssignment.from_angles([Fraction(k, n + 1) for k in ks])
+
+
+def spin_scan(n: int, tol: float = DEFAULT_TOL):
+    """Rank tables for all 2^n spin structures under trivial holonomy."""
+    return [evaluate_cell(spin, hol, tol) for spin, hol in spin_configs(n)]
+
+
+def brane_scan_cells(n: int, tol: float = DEFAULT_TOL) -> Iterator[ScanCell]:
+    """Rank tables for all (n+1)^n root-of-unity holonomies, standard spin."""
+    return (evaluate_cell(spin, hol, tol) for spin, hol in brane_configs(n))
 
 
 def brane_scan(n: int, tol: float = DEFAULT_TOL):

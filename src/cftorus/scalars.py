@@ -13,26 +13,21 @@ Rational angles ("p/q" of a full turn) are routed to the exact backend,
 decimal inputs to the approximate one; mixing the two promotes everything
 to approximate.
 
-:class:`NovikovElement` adds the graded formal-variable bookkeeping used
-by the full coboundary operator: the variable ``e`` carries degree 2 and
-only nonnegative exponents are allowed.
-
-All values are immutable after construction; every operation here is a
-pure function, safe for concurrent use.
+All values are immutable after construction and pickle, so they can be
+sent to worker processes; every operation here is a pure function, safe
+for concurrent use.
 """
 
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 DEFAULT_TOL = 1e-9
-
-#: degree of the Novikov formal variable e
-E_DEGREE = 2
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +130,7 @@ def _reduce_mod_phi(coeffs, m):
     return out
 
 
-ScalarLike = Union[int, Fraction, "Cyclotomic"]
-
-
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Cyclotomic:
     """Exact element of Q(zeta_m), zeta_m = exp(2*pi*i/m).
 
@@ -148,7 +141,8 @@ class Cyclotomic:
     orders combine by promotion into Q(zeta_lcm).
     """
 
-    __slots__ = ("order", "coeffs")
+    order: int
+    coeffs: tuple
 
     def __init__(self, order: int, coeffs: Iterable):
         if order < 1:
@@ -161,9 +155,6 @@ class Cyclotomic:
         reduced.extend([Fraction(0)] * (order - len(reduced)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(reduced))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cyclotomic values are immutable")
 
     # -- constructors -----------------------------------------------------
 
@@ -366,10 +357,12 @@ def root_of_unity(p: int, q: int) -> Cyclotomic:
 # approximate backend
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class ApproxComplex:
     """Floating-point complex scalar for the tolerance-based backend."""
 
-    __slots__ = ("re", "im")
+    re: float
+    im: float
 
     def __init__(self, re, im=0.0):
         if isinstance(re, (complex, ApproxComplex)):
@@ -379,9 +372,6 @@ class ApproxComplex:
                 re.im if isinstance(re, ApproxComplex) else re.imag
         object.__setattr__(self, "re", float(re))
         object.__setattr__(self, "im", float(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ApproxComplex values are immutable")
 
     @staticmethod
     def _value(other):
@@ -514,109 +504,3 @@ def simplify_exact(x):
         f = x.coeffs[0]
         return int(f) if f.denominator == 1 else f
     return x
-
-
-def unit_modulus_defect(x) -> float:
-    """| |x| - 1 | as a float; 0.0 for exact roots of unity."""
-    if isinstance(x, Cyclotomic):
-        if (x * x.conjugate()) == 1:
-            return 0.0
-    return abs(abs(scalar_to_complex(x)) - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Novikov bookkeeping
-# ---------------------------------------------------------------------------
-
-class NovikovElement:
-    """Finite sum of terms c_i * e^(d_i) with integer exponents d_i >= 0.
-
-    The formal variable e has degree 2; the total degree of a term is
-    2*d_i plus whatever cochain degree the coefficient's attachment
-    carries (tracked by callers, not here).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Sequence = ()):
-        checked = []
-        for coeff, exp in terms:
-            if not isinstance(exp, int) or exp < 0:
-                raise ValueError(
-                    "exponents must be integers >= 0, got %r" % (exp,))
-            checked.append((coeff, exp))
-        object.__setattr__(self, "terms", tuple(checked))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NovikovElement values are immutable")
-
-    @classmethod
-    def monomial(cls, coeff, exp: int) -> "NovikovElement":
-        return cls(((coeff, exp),))
-
-    def normalize(self, tol: float = DEFAULT_TOL) -> "NovikovElement":
-        return novikov_normalize(self, tol)
-
-    def __add__(self, other):
-        if not isinstance(other, NovikovElement):
-            return NotImplemented
-        return NovikovElement(self.terms + other.terms).normalize()
-
-    def __neg__(self):
-        return NovikovElement(tuple((-c, d) for c, d in self.terms))
-
-    def __sub__(self, other):
-        if not isinstance(other, NovikovElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, NovikovElement):
-            prod = [(c1 * c2, d1 + d2)
-                    for c1, d1 in self.terms for c2, d2 in other.terms]
-            return NovikovElement(prod).normalize()
-        return NovikovElement(tuple((other * c, d) for c, d in self.terms))
-
-    __rmul__ = __mul__
-
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return not self.normalize(tol).terms
-
-    def __eq__(self, other):
-        if not isinstance(other, NovikovElement):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def degree_of_term(self, index: int) -> int:
-        """Degree contributed by the formal variable in term `index`."""
-        return E_DEGREE * self.terms[index][1]
-
-    def __str__(self):
-        norm = self.normalize()
-        if not norm.terms:
-            return "0"
-        parts = []
-        for coeff, exp in norm.terms:
-            text = scalar_str(coeff)
-            if " " in text or "," in text:
-                text = "(%s)" % text
-            parts.append("%s*e^%d" % (text, exp))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "NovikovElement(%r)" % (list(self.terms),)
-
-
-def novikov_normalize(x: NovikovElement, tol: float = DEFAULT_TOL) -> NovikovElement:
-    """Merge equal exponents, drop zero coefficients, sort by exponent."""
-    merged = {}
-    for coeff, exp in x.terms:
-        if exp in merged:
-            merged[exp] = merged[exp] + coeff
-        else:
-            merged[exp] = coeff
-    kept = [(merged[d], d) for d in sorted(merged)
-            if not scalar_is_zero(merged[d], tol)]
-    return NovikovElement(tuple(kept))

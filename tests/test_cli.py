@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -115,9 +116,38 @@ def test_brane_scan_n3(capsys):
 
 def test_scan_guards(capsys):
     code, _, err = run_cli(capsys, ["spin-scan", "13"])
-    assert code == 2 and "13" in err
+    assert code == 2
+    assert err == "spin-scan supports 1 <= n <= 12 (2^n cells); got n=13\n"
     code, _, err = run_cli(capsys, ["brane-scan", "7"])
-    assert code == 2 and "7" in err
+    assert code == 2
+    assert err == "brane-scan supports 1 <= n <= 6 ((n+1)^n cells); got n=7\n"
+    code, _, err = run_cli(capsys, ["brane-scan", "0"])
+    assert code == 2 and "got n=0" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["spin-scan", "2", "--jobs", "0"], "--jobs"),
+    (["brane-scan", "2", "--jobs", "-4"], "--jobs"),
+    (["spin-scan", "2", "--tol", "-1"], "--tol"),
+    (["spin-scan", "2", "--tol", "0"], "--tol"),
+    (["hf", "--n", "2", "--tol", "nan"], "--tol"),
+    (["maslov-check", "--count", "1", "--tol", "inf"], "--tol"),
+    (["hf", "--n", "2", "--holonomy", "nan,0"], "nan"),
+])
+def test_bad_inputs_exit_2_naming_them(capsys, argv, named):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
+def test_bad_tol_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("CF_TOL", value)
+    code, out, err = run_cli(capsys, ["spin-scan", "2"])
+    assert code == 2
+    assert out == ""
+    assert "CF_TOL" in err and value in err
 
 
 def test_csv_format(capsys):
@@ -150,12 +180,69 @@ def test_maslov_check_deterministic_bytes():
     assert first.stdout == second.stdout
 
 
+# golden corpus: sha256 of the json and csv stdout, and the stderr summary,
+# of each scan; serial and pooled runs must both reproduce them byte for byte
+SCAN_GOLDEN = {
+    ("spin-scan", 1): (
+        "95e82db2145278b1c3f267f2146681cb1eafe61d9eaa91362e91319fcff0263f",
+        "0056e8afa80927626669896691087421763b29078b1b9b0dc5ffa91259de19d9",
+        "nonvanishing: 2 of 2 spin structures\n"),
+    ("spin-scan", 2): (
+        "0b109948ce177356a6bb791e04a6b283631583b99f06bfd62a147528b28e7883",
+        "52fcdd9a5f326948f584da977065057fbc4beefbe1dfdc2a7a1e31af2847f11c",
+        "nonvanishing: 1 of 4 spin structures\n"),
+    ("spin-scan", 3): (
+        "d71b30078b047e0172e8872df8d2003c594e24ba6edd4b127d25294bbdf089aa",
+        "b12593cc85628af3edefb4accac0189d51325c238e1d611d78049ab135683a8a",
+        "nonvanishing: 2 of 8 spin structures\n"),
+    ("spin-scan", 4): (
+        "fb6bcca9fb3e987a9271547689c199a123cceb8c837210833f61b7e4ed2b4efa",
+        "445394ebc581f51eadaf0fc3ab84e122328cfd28434c5725c25da82d509e0113",
+        "nonvanishing: 1 of 16 spin structures\n"),
+    ("spin-scan", 5): (
+        "d9ab9e20778b76d774a2c9a3ddaeedb81fc4a183593ce959dae4048741d2bc21",
+        "c4bee2344dddc171bdac4939bb5ad9f3081ba4135e6b1d9e9436bc99f5dd3827",
+        "nonvanishing: 2 of 32 spin structures\n"),
+    ("spin-scan", 6): (
+        "19213afbfd188d5466026a59da1eba805bfe1cb6d888b7ca90dee6e1724759b8",
+        "c947513fd7da87cad376297ad3be4b19cf222c1647fafa070f2288e05d2cbdae",
+        "nonvanishing: 1 of 64 spin structures\n"),
+    ("brane-scan", 1): (
+        "2ef9f21d92bb0ecbb0912312d006a3aaee7b21ef5835d4cd1bf8289f78df9a33",
+        "196d5a45e9e4d1c8fc2e4b77b1b91ac21b572b66346bb72692436bde8aca332f",
+        "nonvanishing: 2 of 2 holonomy assignments\n"),
+    ("brane-scan", 2): (
+        "b4c34e4e79a7032210f420cb2a452e5bed45a24f1f34e1b64ecc10b80bd4f2f8",
+        "08c62708bfd6fb494950cb69949417d191eff9ce091a2ddf885c4a91a16cb8d0",
+        "nonvanishing: 3 of 9 holonomy assignments\n"),
+    ("brane-scan", 3): (
+        "518910c47215d89385cd2fb3a01b76447c70cce80e33a6267e09d15ed181c368",
+        "54e24c13847faefcb2f76a31bf28c4ad63b58b6a44f82e681a36676f3bbfaa3c",
+        "nonvanishing: 4 of 64 holonomy assignments\n"),
+}
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs2"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command,n", list(SCAN_GOLDEN),
+                         ids=["%s-%d" % key for key in SCAN_GOLDEN])
+def test_scan_golden_corpus(capsys, command, n, fmt, jobs):
+    json_sha, csv_sha, summary = SCAN_GOLDEN[command, n]
+    code, out, err = run_cli(capsys, [command, str(n), "--format", fmt, *jobs])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        json_sha if fmt == "json" else csv_sha)
+    assert err == summary
+
+
 def test_scan_jobs_flag_keeps_output_order():
+    # the same bytes through the console entry point, serial and pooled
     cmd = [sys.executable, "-m", "cftorus", "spin-scan", "3"]
     serial = subprocess.run(cmd, capture_output=True, check=True)
     parallel = subprocess.run(cmd + ["--jobs", "2"], capture_output=True,
                               check=True)
     assert serial.stdout == parallel.stdout
+    assert hashlib.sha256(serial.stdout).hexdigest() == SCAN_GOLDEN["spin-scan", 3][0]
 
 
 def test_selftest_passes(capsys):
@@ -197,3 +284,16 @@ def test_parse_holonomy_integer_units_stay_exact():
 def test_parse_holonomy_entry_count_checked():
     with pytest.raises(ValueError):
         parse_holonomy("1/3", 2, 1e-9)
+
+
+@pytest.mark.parametrize("text,n,named", [
+    ("nan,0", 1, "nan"),
+    ("nan", 1, "nan"),
+    ("inf,0", 1, "inf"),
+    ("1/3;inf,0", 2, "inf"),
+    ("1/0", 1, "1/0"),
+    ("0/1,2/0", 2, "2/0"),
+])
+def test_parse_holonomy_rejects_nonfinite_and_zero_denominator(text, n, named):
+    with pytest.raises(ValueError, match=named):
+        parse_holonomy(text, n, 1e-9)

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,28 +22,27 @@ from cftorus.floer import (
     floer_ranks_bruteforce,
     floer_ranks_closedform,
     full_differential,
-    spin_from_subset,
     spin_scan,
     standard_spin,
     weights,
 )
-from cftorus.scalars import root_of_unity
+from cftorus.scalars import ApproxComplex, root_of_unity
 
 
 # -- spin structures -----------------------------------------------------------
 
 def test_spin_from_empty_subset_is_standard():
-    assert spin_from_subset((), 3).eps == (1, 1, 1, 1)
+    assert SpinStructure.from_subset((), 3).eps == (1, 1, 1, 1)
 
 
 def test_spin_all_twisted_needs_odd_n():
-    assert spin_from_subset({1, 2, 3}, 3).eps == (-1, -1, -1, -1)
+    assert SpinStructure.from_subset({1, 2, 3}, 3).eps == (-1, -1, -1, -1)
     # for even n the zeroth sign flips instead and the product stays 1
-    assert spin_from_subset({1, 2}, 2).eps == (1, -1, -1)
+    assert SpinStructure.from_subset({1, 2}, 2).eps == (1, -1, -1)
 
 
 def test_spin_product_constraint_forced():
-    assert spin_from_subset({1}, 2).eps == (-1, -1, 1)
+    assert SpinStructure.from_subset({1}, 2).eps == (-1, -1, 1)
 
 
 def test_spin_rejects_bad_vectors():
@@ -49,11 +51,11 @@ def test_spin_rejects_bad_vectors():
     with pytest.raises(ValueError):
         SpinStructure((2, 1, 1))
     with pytest.raises(ValueError):
-        spin_from_subset({4}, 2)
+        SpinStructure.from_subset({4}, 2)
 
 
 def test_spin_label_bits():
-    s = spin_from_subset({2}, 3)
+    s = SpinStructure.from_subset({2}, 3)
     assert s.label_bits() == (0, 1, 0)
     assert s.twisted_subset == (2,)
     assert not s.is_standard()
@@ -92,13 +94,13 @@ def test_weights_standard_trivial_vanish():
 
 
 def test_weights_all_twisted_trivial_vanish():
-    w = weights(spin_from_subset({1, 2, 3}, 3), HolonomyAssignment.trivial(3))
+    w = weights(SpinStructure.from_subset({1, 2, 3}, 3), HolonomyAssignment.trivial(3))
     assert w.c == (-1, -1, -1, -1)
     assert w.is_trivial()
 
 
 def test_weights_single_twist():
-    w = weights(spin_from_subset({1}, 2), HolonomyAssignment.trivial(2))
+    w = weights(SpinStructure.from_subset({1}, 2), HolonomyAssignment.trivial(2))
     assert w.c == (-1, -1, 1)
     assert w.v == (0, 2)
 
@@ -209,7 +211,7 @@ def test_closedform_generic_holonomy_vanishes():
 
 
 def test_closedform_all_twisted_odd():
-    w = weights(spin_from_subset({1, 2, 3}, 3), HolonomyAssignment.trivial(3))
+    w = weights(SpinStructure.from_subset({1, 2, 3}, 3), HolonomyAssignment.trivial(3))
     assert floer_ranks_closedform(3, w).by_lambda_degree == (1, 3, 3, 1)
 
 
@@ -239,7 +241,7 @@ def test_spin_twist_equals_sign_holonomy():
     for n in (2, 3, 4):
         for bits in range(1 << n):
             subset = {i + 1 for i in range(n) if bits >> i & 1}
-            spin = spin_from_subset(subset, n)
+            spin = SpinStructure.from_subset(subset, n)
             by_spin = floer_ranks_bruteforce(
                 n, weights(spin, HolonomyAssignment.trivial(n)))
             angles = [Fraction(1, 2) if spin.eps[i] == -1 else Fraction(0)
@@ -252,7 +254,7 @@ def test_spin_twist_equals_sign_holonomy():
 def test_spin_twist_cancels_against_half_turn_holonomy():
     # twisting spin and holonomy on the same generator multiplies the same
     # weight by -1 twice, so the pair lands back on the nonvanishing locus
-    spin = spin_from_subset({1}, 2)
+    spin = SpinStructure.from_subset({1}, 2)
     hol = HolonomyAssignment.from_angles([Fraction(1, 2), Fraction(0)])
     w = weights(spin, hol)
     assert w.is_trivial()
@@ -380,3 +382,38 @@ def test_coboundary_complex_composites_vanish_for_unit_weights():
     cx = floer_coboundary_complex(2, w)
     for k in range(1):
         assert matrix_is_zero(matmul(cx.matrix(k + 1), cx.matrix(k)), tol=1e-12)
+
+
+# -- value types -------------------------------------------------------------------
+
+def _value_samples():
+    exact = HolonomyAssignment.from_angles([Fraction(1, 3), Fraction(2, 5)])
+    approx = HolonomyAssignment.from_values([complex(0.6, 0.8), -1j])
+    return [
+        root_of_unity(2, 5) + Fraction(1, 3),
+        ApproxComplex(0.25, -1.5),
+        ExteriorClass(2, {(1,): root_of_unity(1, 3), (1, 2): Fraction(-2)}),
+        exact,
+        approx,
+        weights(standard_spin(2), exact),
+        NovikovCochain.from_class(ExteriorClass.generator(2, 1), 3),
+        evaluate_cell(standard_spin(2), exact),
+    ]
+
+
+@pytest.mark.parametrize("roundtrip", [
+    lambda x: pickle.loads(pickle.dumps(x)),
+    copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_value_types_roundtrip_and_stay_immutable(roundtrip):
+    for value in _value_samples():
+        clone = roundtrip(value)
+        assert type(clone) is type(value)
+        names = [f.name for f in dataclasses.fields(value)]
+        for name in names:
+            got, want = getattr(clone, name), getattr(value, name)
+            if isinstance(want, HolonomyAssignment):
+                got, want = got.entry_strings(), want.entry_strings()
+            assert got == want, (type(value).__name__, name)
+        with pytest.raises(AttributeError):
+            setattr(clone, names[0], None)

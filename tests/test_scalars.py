@@ -6,9 +6,7 @@ import pytest
 from cftorus.scalars import (
     ApproxComplex,
     Cyclotomic,
-    NovikovElement,
     cyclotomic_polynomial,
-    novikov_normalize,
     root_of_unity,
     scalar_is_zero,
     simplify_exact,
@@ -126,49 +124,3 @@ def test_mixed_backend_arithmetic_promotes_to_approx():
     mixed = ApproxComplex(1.0) - z3
     assert isinstance(mixed, ApproxComplex)
     assert complex(mixed) == pytest.approx(1 - z3.to_complex())
-
-
-# -- Novikov bookkeeping -----------------------------------------------------
-
-def test_novikov_merges_equal_exponents():
-    x = NovikovElement([(1, 1), (1, 1)])
-    assert novikov_normalize(x).terms == ((2, 1),)
-
-
-def test_novikov_drops_zero_coefficients():
-    assert novikov_normalize(NovikovElement([(0, 2)])).terms == ()
-
-
-def test_novikov_cancellation():
-    x = NovikovElement([(1, 0), (1, 1), (-1, 0)])
-    assert novikov_normalize(x).terms == ((1, 1),)
-
-
-def test_novikov_rejects_negative_exponents():
-    with pytest.raises(ValueError):
-        NovikovElement([(1, -1)])
-
-
-def test_novikov_normalized_terms_sorted_and_unique():
-    rng = random.Random(5)
-    for _ in range(100):
-        terms = [(rng.randint(-3, 3), rng.randint(0, 6)) for _ in range(8)]
-        exps = [d for _, d in novikov_normalize(NovikovElement(terms)).terms]
-        assert exps == sorted(set(exps))
-
-
-def test_novikov_formal_variable_degree():
-    x = NovikovElement([(3, 2)])
-    assert x.degree_of_term(0) == 4
-
-
-def test_novikov_serialization():
-    x = NovikovElement([(2, 1), (1, 0)])
-    assert str(x) == "1*e^0 + 2*e^1"
-    assert str(NovikovElement()) == "0"
-
-
-def test_novikov_product_convolves_exponents():
-    e1 = NovikovElement([(1, 1)])
-    x = NovikovElement([(2, 0), (1, 1)])
-    assert (x * e1).normalize().terms == ((2, 1), (1, 2))
