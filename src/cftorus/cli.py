@@ -180,6 +180,7 @@ def cmd_scan(command: str, n: int, tol: float, fmt: str, jobs: int) -> int:
     if fmt == "csv":
         _emit_csv_header()
     worker = partial(_cell_record, tol=tol)
+    jobs = min(jobs, os.cpu_count() or 1)
     hits = cells = 0
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         records = (pool.map(worker, configs(n), chunksize=8) if pool
@@ -367,12 +368,19 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
         if args.command == "hf":
+            if not 1 <= args.n <= SPIN_SCAN_MAX_N:
+                # one spin-scan cell is one hf query, so it shares that limit
+                print("hf supports 1 <= --n <= %d; got --n=%d"
+                      % (SPIN_SCAN_MAX_N, args.n), file=sys.stderr)
+                return 2
             spin = parse_spin(args.spin, args.n)
             holonomy = parse_holonomy(args.holonomy, args.n, tol, args.backend)
             return cmd_hf(spin, holonomy, tol, args.format)
         if args.command in SCANS:
             return cmd_scan(args.command, args.n, tol, args.format, args.jobs)
         if args.command == "maslov-check":
+            if args.count < 0:
+                raise ValueError("--count must be at least 0, got %d" % args.count)
             return cmd_maslov_check(args.count, args.seed, tol)
         if args.command == "selftest":
             return cmd_selftest(tol)

@@ -277,54 +277,6 @@ def _rank_svd(matrix, tol: float) -> int:
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 
-def solve_linear_system(matrix, rhs, tol: float = DEFAULT_TOL):
-    """One solution x of matrix @ x = rhs, or None when inconsistent.
-
-    Exact entries get Gaussian elimination with free variables pinned to
-    zero; approximate entries get the minimal-norm least-squares solution
-    (rejected when the residual exceeds tol).
-    """
-    if not matrix:
-        return [] if all(scalar_is_zero(b, tol) for b in rhs) else None
-    ncols = len(matrix[0])
-    if matrix_is_exact(matrix) and all(is_exact_scalar(b) for b in rhs):
-        from .scalars import scalar_inverse
-
-        aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot_row = next((i for i in range(r, len(aug))
-                              if not scalar_is_zero(aug[i][c])), None)
-            if pivot_row is None:
-                continue
-            aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-            inv = scalar_inverse(aug[r][c])
-            aug[r] = [inv * x for x in aug[r]]
-            for i in range(len(aug)):
-                if i != r and not scalar_is_zero(aug[i][c]):
-                    a = aug[i][c]
-                    aug[i] = [x - a * y for x, y in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-        for i in range(r, len(aug)):
-            if not scalar_is_zero(aug[i][-1]):
-                return None
-        solution = [0] * ncols
-        for row_idx, c in enumerate(pivots):
-            solution[c] = aug[row_idx][-1]
-        return solution
-    arr = np.array([[scalar_to_complex(x) for x in row] for row in matrix],
-                   dtype=complex)
-    vec = np.array([scalar_to_complex(b) for b in rhs], dtype=complex)
-    sol, *_ = np.linalg.lstsq(arr, vec, rcond=None)
-    if np.max(np.abs(arr @ sol - vec), initial=0.0) > max(tol, tol * np.max(np.abs(vec), initial=0.0)):
-        return None
-    from .scalars import ApproxComplex
-
-    return [ApproxComplex(z) for z in sol]
-
-
 @dataclass(frozen=True)
 class GradedMatrixComplex:
     """Per-degree matrices D_k: degree k -> degree k+1, k = 0..n-1.

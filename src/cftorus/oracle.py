@@ -6,7 +6,7 @@ and its coboundary row at J reads sum_s (-1)**(s-1) A_(J minus s-th
 member).  Two facts get exercised here:
 
 * the simplex has no cohomology between top and bottom, witnessed
-  constructively by `solve_cocycle`;
+  constructively by `solve_cocycle` through the cone on vertex 1;
 * rescaling the weighted coboundary by prod_(i in I) v_i turns it into
   (-1)**n times the bare simplex coboundary whenever every weight v_i is
   nonzero, which is exactly why nontrivial weights kill every rank.
@@ -22,7 +22,6 @@ from .exterior import (
     index_sets,
     matrix_scale,
     rank,
-    solve_linear_system,
     validate_index_set,
     wedge_by_vector,
     _basis_positions,
@@ -55,9 +54,6 @@ class CochainAssignment:
             raise ValueError("incomplete cochain, missing %s" % (missing,))
         self.values = cleaned
 
-    def vector(self):
-        return [self.values[I] for I in index_sets(self.n, self.k)]
-
 
 def simplex_coboundary(n: int, k: int):
     """Matrix of the simplicial coboundary from size-k to size-(k+1) cochains."""
@@ -87,26 +83,20 @@ def solve_cocycle(a: CochainAssignment, tol: float = DEFAULT_TOL) -> CochainAssi
     """A degree-(k-1) cochain whose coboundary is `a`.
 
     Raises NotACocycleError (listing the violated index sets) when `a`
-    fails the alternating-sum condition; a solution always exists when it
-    holds.  For k = 1 the answer is the single value on the empty set.
+    fails the alternating-sum condition.  When it holds, the cone on
+    vertex 1 gives the preimage directly: b_I = a_({1} + I) for I without
+    1, and b_I = 0 otherwise.  For k = 1 the answer is the single value
+    a_(1) on the empty set.
     """
     if a.k < 1:
         raise ValueError("no lower degree below k=0")
-    violations = []
-    for J in index_sets(a.n, a.k + 1):
-        acc = 0
-        for s in range(len(J)):
-            acc = acc + (-1) ** s * a.values[J[:s] + J[s + 1:]]
-        if not scalar_is_zero(acc, tol):
-            violations.append(J)
+    violations = [J for J, acc in coboundary_apply(a).values.items()
+                  if not scalar_is_zero(acc, tol)]
     if violations:
         raise NotACocycleError(violations)
-    matrix = simplex_coboundary(a.n, a.k - 1)
-    solution = solve_linear_system(matrix, a.vector(), tol)
-    if solution is None:
-        raise NotACocycleError(["system inconsistent despite cocycle check"])
-    values = dict(zip(index_sets(a.n, a.k - 1), solution))
-    return CochainAssignment(a.n, a.k - 1, values)
+    return CochainAssignment(a.n, a.k - 1, {
+        I: 0 if 1 in I else a.values[(1,) + I]
+        for I in index_sets(a.n, a.k - 1)})
 
 
 def koszul_rescale_check(n: int, w, tol: float = DEFAULT_TOL) -> bool:

@@ -30,70 +30,26 @@ from typing import Iterable
 DEFAULT_TOL = 1e-9
 
 
-# ---------------------------------------------------------------------------
-# integer/rational polynomial helpers (ascending coefficient lists)
-# ---------------------------------------------------------------------------
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(x) for x in a] + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
-
-
-def _poly_divmod(num, den):
-    """Quotient and remainder of polynomials over Q; den need not be monic."""
-    num = list(num)
-    den = list(den)
-    _poly_trim(num)
-    _poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = Fraction(den[-1])
-    while len(num) >= len(den) and num:
-        shift = len(num) - len(den)
-        coeff = Fraction(num[-1]) / lead
-        quot[shift] = coeff
-        for i, d in enumerate(den):
-            num[shift + i] -= coeff * d
-        _poly_trim(num)
-    return quot, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Ascending integer coefficients of the m-th cyclotomic polynomial."""
     if m < 1:
         raise ValueError("order must be a positive integer, got %r" % (m,))
-    if m == 1:
-        return (-1, 1)
     num = [-1] + [0] * (m - 1) + [1]  # z^m - 1
     for d in range(1, m):
         if m % d == 0:
-            quot, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            if rem:
+            # long division by the monic integer Phi_d stays in Z
+            phi = cyclotomic_polynomial(d)
+            deg = len(phi) - 1
+            quot = [0] * (len(num) - deg)
+            for shift in reversed(range(len(quot))):
+                coeff = quot[shift] = num[shift + deg]
+                for i, c in enumerate(phi):
+                    num[shift + i] -= coeff * c
+            if any(num):
                 raise AssertionError("cyclotomic division left a remainder")
             num = quot
-    return tuple(int(c) for c in num)
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
@@ -239,25 +195,31 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
+    def galois(self, k: int) -> "Cyclotomic":
+        """Image under the automorphism zeta -> zeta^k; k must be a unit mod order."""
+        m = self.order
+        if gcd(k, m) != 1:
+            raise ValueError("zeta -> zeta^%d is not an automorphism of Q(zeta_%d)"
+                             % (k, m))
+        out = [Fraction(0)] * m
+        for j, c in enumerate(self.coeffs):
+            if c:
+                out[j * k % m] = c
+        return Cyclotomic(m, out)
+
     def inverse(self) -> "Cyclotomic":
+        """Product of the other Galois conjugates, divided by the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        deg = len(phi) - 1
-        a = list(self.coeffs[:deg])
-        # extended Euclid in Q[z]: s*a + t*phi = gcd (a nonzero unit since
-        # the cyclotomic polynomial is irreducible over Q)
-        r0, r1 = phi, _poly_trim(a)
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if len(r0) != 1:
-            raise AssertionError("cyclotomic polynomial was not irreducible?")
-        unit = r0[0]
-        inv = [c / unit for c in s0]
-        return Cyclotomic(self.order, inv)
+        m = self.order
+        others = Cyclotomic.one()
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                others = others * self.galois(k)
+        norm = self * others
+        if not norm.is_rational():
+            raise AssertionError("Galois norm of %r is not rational" % (self,))
+        return Cyclotomic(m, [c / norm.coeffs[0] for c in others.coeffs])
 
     def __truediv__(self, other):
         other_c = Cyclotomic._coerce(other)
@@ -287,12 +249,7 @@ class Cyclotomic:
         return result
 
     def conjugate(self) -> "Cyclotomic":
-        m = self.order
-        out = [Fraction(0)] * m
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[(-k) % m] += c
-        return Cyclotomic(m, out)
+        return self.galois(-1)
 
     # -- predicates ----------------------------------------------------------
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from cftorus import cli
 from cftorus.cli import main, parse_holonomy, parse_spin
 
 
@@ -114,7 +115,16 @@ def test_brane_scan_n3(capsys):
         assert len(set(r["holonomy"])) == 1
 
 
-def test_scan_guards(capsys):
+def test_scan_guards(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused size reached evaluate_cell")
+
+    monkeypatch.setattr(cli, "evaluate_cell", never)
+    code, _, err = run_cli(capsys, ["hf", "--n", "13"])
+    assert code == 2
+    assert err == "hf supports 1 <= --n <= 12; got --n=13\n"
+    code, _, err = run_cli(capsys, ["hf", "--n", "0"])
+    assert code == 2 and "got --n=0" in err
     code, _, err = run_cli(capsys, ["spin-scan", "13"])
     assert code == 2
     assert err == "spin-scan supports 1 <= n <= 12 (2^n cells); got n=13\n"
@@ -133,6 +143,7 @@ def test_scan_guards(capsys):
     (["hf", "--n", "2", "--tol", "nan"], "--tol"),
     (["maslov-check", "--count", "1", "--tol", "inf"], "--tol"),
     (["hf", "--n", "2", "--holonomy", "nan,0"], "nan"),
+    (["maslov-check", "--count", "-5"], "--count"),
 ])
 def test_bad_inputs_exit_2_naming_them(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
@@ -243,6 +254,35 @@ def test_scan_jobs_flag_keeps_output_order():
                               check=True)
     assert serial.stdout == parallel.stdout
     assert hashlib.sha256(serial.stdout).hexdigest() == SCAN_GOLDEN["spin-scan", 3][0]
+
+
+def test_scan_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    # a recorder stands in for the pool, so no worker process starts
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    code, out, err = run_cli(capsys, ["spin-scan", "3", "--jobs", "64"])
+    assert code == 0 and seen == [3]
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN["spin-scan", 3][0]
+    assert err == SCAN_GOLDEN["spin-scan", 3][2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    code, out, _ = run_cli(capsys, ["spin-scan", "3", "--jobs", "64"])
+    assert code == 0 and seen == [3]  # one CPU (or unknown) runs serially
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN["spin-scan", 3][0]
 
 
 def test_selftest_passes(capsys):

@@ -64,7 +64,7 @@ def test_solve_cocycle_rejects_non_cocycle():
 def test_solve_cocycle_roundtrips_random_cocycles(n):
     # cocycles generated independently as coboundaries of random cochains
     rng = random.Random(200 + n)
-    for k in range(1, n):
+    for k in range(1, n + 1):
         for _ in range(100):
             lower = CochainAssignment(n, k - 1, {
                 I: Fraction(rng.randint(-5, 5)) for I in index_sets(n, k - 1)})

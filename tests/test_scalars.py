@@ -72,6 +72,19 @@ def test_field_axioms_on_random_values():
             assert a * a.inverse() == 1
 
 
+@pytest.mark.parametrize("m", range(1, 31))
+def test_inverse_of_exact_weight_shapes(m):
+    # every exact weight is a signed root of unity or a difference of two,
+    # so zeta^a - 1 (a not 0 mod m) and -zeta^a cover the Galois-norm inverse
+    for a in range(m):
+        z = root_of_unity(a, m)
+        shapes = [-z] if a == 0 else [z - 1, -z]
+        for x in shapes:
+            assert x * x.inverse() == 1
+    with pytest.raises(ZeroDivisionError):
+        Cyclotomic(m, [0] * m).inverse()
+
+
 def test_cross_order_promotion_matches_numeric_values():
     a = root_of_unity(1, 3)
     b = root_of_unity(1, 4)
@@ -84,6 +97,10 @@ def test_conjugate_gives_unit_for_roots_of_unity():
     for q in (2, 3, 5, 8):
         x = root_of_unity(1, q)
         assert x * x.conjugate() == 1
+    for q, k in ((3, 2), (5, 3), (8, 5), (12, 7)):
+        assert root_of_unity(1, q).galois(k) == root_of_unity(k, q)
+    with pytest.raises(ValueError):
+        root_of_unity(1, 4).galois(2)  # not a unit mod 4
 
 
 def test_cyclotomic_polynomial_degree_and_values():
