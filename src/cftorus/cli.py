@@ -94,8 +94,12 @@ def parse_holonomy(text: Optional[str], n: int, tol: float,
     angles, values = [], []
     for entry in entries:
         if "," in entry:
-            re_part, im_part = entry.split(",")
-            values.append(complex(float(re_part), float(im_part)))
+            try:
+                re_part, im_part = map(float, entry.split(","))
+            except ValueError:
+                raise ValueError("holonomy entry %r is not a re,im pair"
+                                 % entry) from None
+            values.append(complex(re_part, im_part))
             angles.append(None)
         elif "/" in entry:
             try:

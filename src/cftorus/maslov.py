@@ -27,7 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .discs import BlaschkeDisc
+from .discs import BlaschkeDisc, disc_eval_boundary
 from .scalars import DEFAULT_TOL
 
 DEFAULT_SAMPLES = 256
@@ -143,10 +143,8 @@ def disc_boundary_maslov(d: BlaschkeDisc, tol: float = DEFAULT_TOL,
         raise ChartError("disc meets the zeroth hyperplane (mu_0 = %d)" % d.mu[0])
     num = samples
     while True:
-        z = np.exp(2j * np.pi * np.arange(num) / num)
-        gamma0 = d.components[0].eval_many(z)
-        ratios = [comp.eval_many(z) / gamma0 for comp in d.components[1:]]
-        phases = np.angle(np.column_stack(ratios))
+        vals = disc_eval_boundary(d, num)
+        phases = np.angle((vals[1:] / vals[0]).T)
         frames = tuple(diag_phase_frame(row) for row in phases)
         try:
             # stricter step bound than the pi ambiguity threshold, so a

@@ -15,6 +15,7 @@ member).  Two facts get exercised here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict
 
 from .exterior import (
@@ -26,7 +27,7 @@ from .exterior import (
     wedge_by_vector,
     _basis_positions,
 )
-from .scalars import DEFAULT_TOL, scalar_inverse, scalar_is_zero
+from .scalars import DEFAULT_TOL, scalar_is_zero
 
 
 class NotACocycleError(ValueError):
@@ -125,7 +126,7 @@ def koszul_rescale_check(n: int, w, tol: float = DEFAULT_TOL) -> bool:
         rows = index_sets(n, k + 1)
         cols = index_sets(n, k)
         for r, J in enumerate(rows):
-            inv = scalar_inverse(scale[J])
+            inv = Fraction(1) / scale[J]
             for c, I in enumerate(cols):
                 rescaled = inv * delta[r][c] * scale[I]
                 if not scalar_is_zero(rescaled - expected[r][c], tol):
@@ -162,7 +163,7 @@ def weighted_cocycle_preimage(n: int, v, target: CochainAssignment,
         return prod
 
     rescaled = CochainAssignment(n, target.k, {
-        I: target.values[I] * scalar_inverse(weight_product(I))
+        I: target.values[I] * (Fraction(1) / weight_product(I))
         for I in index_sets(n, target.k)})
     solved = solve_cocycle(rescaled, tol)
     sign = (-1) ** n

@@ -6,12 +6,14 @@ Two backends feed every linear-algebra routine in this package:
   with rational coordinates.  Zero testing is exact, which is what decides
   the knife-edge vanishing dichotomies downstream -- a holonomy weight is
   either exactly zero or it is not.
-* approximate: :class:`ApproxComplex`, a thin complex-float wrapper whose
-  zero test compares against a tolerance (default ``DEFAULT_TOL``).
+* approximate: :class:`ApproxComplex`, a ``complex`` subclass whose
+  arithmetic returns builtin ``complex``; the zero test compares against a
+  tolerance (default ``DEFAULT_TOL``).
 
 Rational angles ("p/q" of a full turn) are routed to the exact backend,
 decimal inputs to the approximate one; mixing the two promotes everything
-to approximate.
+to approximate: a ``Cyclotomic`` combined with a ``float`` or ``complex``
+gives an ``ApproxComplex``.
 
 All values are immutable after construction and pickle, so they can be
 sent to worker processes; every operation here is a pure function, safe
@@ -21,6 +23,7 @@ for concurrent use.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -150,6 +153,12 @@ class Cyclotomic:
             return Cyclotomic.from_rational(value)
         return None
 
+    def _approx(self, other, op):
+        """op(self, other) on the approximate backend for a float or complex operand."""
+        if not isinstance(other, (float, complex)):
+            return NotImplemented
+        return ApproxComplex(op(self.to_complex(), other))
+
     def _pair(self, other):
         other = Cyclotomic._coerce(other)
         if other is None:
@@ -162,7 +171,7 @@ class Cyclotomic:
     def __add__(self, other):
         a, b = self._pair(other)
         if a is None:
-            return NotImplemented
+            return self._approx(other, operator.add)
         return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
     __radd__ = __add__
@@ -173,7 +182,7 @@ class Cyclotomic:
     def __sub__(self, other):
         a, b = self._pair(other)
         if a is None:
-            return NotImplemented
+            return self._approx(other, operator.sub)
         return Cyclotomic(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
 
     def __rsub__(self, other):
@@ -182,7 +191,7 @@ class Cyclotomic:
     def __mul__(self, other):
         a, b = self._pair(other)
         if a is None:
-            return NotImplemented
+            return self._approx(other, operator.mul)
         m = a.order
         out = [Fraction(0)] * m
         for i, ai in enumerate(a.coeffs):
@@ -224,13 +233,13 @@ class Cyclotomic:
     def __truediv__(self, other):
         other_c = Cyclotomic._coerce(other)
         if other_c is None:
-            return NotImplemented
+            return self._approx(other, operator.truediv)
         return self * other_c.inverse()
 
     def __rtruediv__(self, other):
         other_c = Cyclotomic._coerce(other)
         if other_c is None:
-            return NotImplemented
+            return self._approx(other, lambda z, w: w / z)
         return other_c * self.inverse()
 
     def __pow__(self, exponent: int):
@@ -265,6 +274,8 @@ class Cyclotomic:
     def __eq__(self, other):
         a, b = self._pair(other)
         if a is None:
+            if isinstance(other, (float, complex)):
+                return self.to_complex() == other
             return NotImplemented
         return a.coeffs == b.coeffs
 
@@ -314,90 +325,19 @@ def root_of_unity(p: int, q: int) -> Cyclotomic:
 # approximate backend
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class ApproxComplex:
-    """Floating-point complex scalar for the tolerance-based backend."""
+class ApproxComplex(complex):
+    """Floating-point complex scalar for the tolerance-based backend.
 
-    re: float
-    im: float
+    A builtin ``complex``: its arithmetic is the builtin's, so results are
+    plain ``complex``.  A complex value given with an imaginary part is
+    refused.
+    """
 
-    def __init__(self, re, im=0.0):
-        if isinstance(re, (complex, ApproxComplex)):
-            if im:
-                raise ValueError("pass either a complex value or re/im parts")
-            re, im = re.re if isinstance(re, ApproxComplex) else re.real, \
-                re.im if isinstance(re, ApproxComplex) else re.imag
-        object.__setattr__(self, "re", float(re))
-        object.__setattr__(self, "im", float(im))
+    __slots__ = ()
 
-    @staticmethod
-    def _value(other):
-        if isinstance(other, ApproxComplex):
-            return complex(other.re, other.im)
-        if isinstance(other, (int, float, complex)):
-            return complex(other)
-        if isinstance(other, Fraction):
-            return complex(float(other))
-        if isinstance(other, Cyclotomic):
-            return other.to_complex()
-        return None
-
-    def __complex__(self):
-        return complex(self.re, self.im)
-
-    def __abs__(self):
-        return abs(complex(self))
-
-    def conjugate(self) -> "ApproxComplex":
-        return ApproxComplex(self.re, -self.im)
-
-    def _binary(self, other, op):
-        v = ApproxComplex._value(other)
-        if v is None:
-            return NotImplemented
-        return ApproxComplex(op(complex(self), v))
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return ApproxComplex(-self.re, -self.im)
-
-    def __pow__(self, exponent: int):
-        return ApproxComplex(complex(self) ** exponent)
-
-    def __eq__(self, other):
-        v = ApproxComplex._value(other)
-        if v is None:
-            return NotImplemented
-        return complex(self) == v
-
-    __hash__ = None
-
-    def __str__(self):
-        return "%r,%r" % (self.re, self.im)
-
-    def __repr__(self):
-        return "ApproxComplex(%r, %r)" % (self.re, self.im)
+    def __init__(self, real=0.0, imag=0.0):
+        if imag and isinstance(real, complex):
+            raise ValueError("pass either a complex value or re/im parts")
 
 
 # ---------------------------------------------------------------------------
@@ -414,28 +354,14 @@ def scalar_is_zero(x, tol: float = DEFAULT_TOL) -> bool:
         return x.is_zero()
     if isinstance(x, (int, Fraction)):
         return x == 0
-    if isinstance(x, (ApproxComplex, float, complex)):
-        return abs(complex(x)) < tol
-    raise TypeError("not a scalar: %r" % (x,))
-
-
-def scalar_inverse(x):
-    if isinstance(x, Cyclotomic):
-        return x.inverse()
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1, 1) / Fraction(x)
-    if isinstance(x, ApproxComplex):
-        return ApproxComplex(1.0) / x
     if isinstance(x, (float, complex)):
-        return 1.0 / x
+        return abs(x) < tol
     raise TypeError("not a scalar: %r" % (x,))
 
 
 def scalar_to_complex(x) -> complex:
     if isinstance(x, Cyclotomic):
         return x.to_complex()
-    if isinstance(x, ApproxComplex):
-        return complex(x)
     if isinstance(x, Fraction):
         return complex(float(x))
     if isinstance(x, (int, float, complex)):
@@ -444,9 +370,7 @@ def scalar_to_complex(x) -> complex:
 
 
 def scalar_str(x) -> str:
-    if isinstance(x, (Cyclotomic, ApproxComplex)):
-        return str(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (Cyclotomic, int, Fraction)):
         return str(x)
     if isinstance(x, complex):
         return "%r,%r" % (x.real, x.imag)

@@ -144,6 +144,8 @@ def test_scan_guards(capsys, monkeypatch):
     (["maslov-check", "--count", "1", "--tol", "inf"], "--tol"),
     (["hf", "--n", "2", "--holonomy", "nan,0"], "nan"),
     (["maslov-check", "--count", "-5"], "--count"),
+    (["hf", "--n", "2", "--holonomy=0.6,0.8,1;1,0"], "'0.6,0.8,1'"),
+    (["hf", "--n", "2", "--holonomy=0.6,;1,0"], "'0.6,'"),
 ])
 def test_bad_inputs_exit_2_naming_them(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
@@ -244,6 +246,44 @@ def test_scan_golden_corpus(capsys, command, n, fmt, jobs):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         json_sha if fmt == "json" else csv_sha)
     assert err == summary
+
+
+# the approximate hf path, pinned the same way; hf takes no --jobs, so these
+# rows carry their whole argv: (argv, stdout sha256, stderr)
+_H7 = ("-0.23279003514829782,-0.9725270173808306;0.5163846981207826,-0.85635672680648;"
+       "0.8570116481647228,-0.5152970356114864;-0.7089889801092396,-0.7052195587784419;"
+       "0.32046085796194723,-0.9472617581821261;-0.26799273258530176,0.9634209335910565;"
+       "-0.6901954679330538,-0.7236229792127065")
+HF_APPROX_GOLDEN = {
+    "pairs-json": (
+        ["hf", "--n", "2", "--holonomy", "0.6,0.8;1.0,0.0"],
+        "1fba33e64eaf79a0bfd739e9985b81a29b1e6bb34cb1bf926074fea7e8c84a37", ""),
+    "pairs-csv": (
+        ["hf", "--n", "2", "--holonomy", "0.6,0.8;1.0,0.0", "--format", "csv"],
+        "1c2651a65bff643afdd1ab9c045375f21e93063f59ee1fcda2d4c8835bfd6bc3", ""),
+    "bare-run": (
+        ["hf", "--n", "2", "--holonomy", "0.6,0.8,1.0,0.0"],
+        "1fba33e64eaf79a0bfd739e9985b81a29b1e6bb34cb1bf926074fea7e8c84a37", ""),
+    "mixed": (
+        ["hf", "--n", "2", "--holonomy", "1/3;0.6,0.8"],
+        "58937afcbcc521bdd3dc847d72757a874f2f38dc3719f37e8f7823ba90828a57",
+        "warning: mixed holonomy formats; promoted to the approximate backend\n"),
+    "backend-approx": (
+        ["hf", "--n", "2", "--backend", "approx", "--holonomy", "1/3,1/3"],
+        "4f97ab2de5b66ee09c6e787df15a2d551c7e8e901a7bc02f5211021006b9f017", ""),
+    "n7-twisted": (
+        ["hf", "--n", "7", "--spin", "1,2,3,4,5,6,7", "--holonomy=" + _H7],
+        "f83e17863a089391374040d4a3d56b9c5201201039a5b457227e71854989a640", ""),
+}
+
+
+@pytest.mark.parametrize("case", list(HF_APPROX_GOLDEN))
+def test_hf_approx_golden(capsys, case):
+    argv, out_sha, want_err = HF_APPROX_GOLDEN[case]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    assert err == want_err
 
 
 def test_scan_jobs_flag_keeps_output_order():

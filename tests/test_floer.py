@@ -409,7 +409,8 @@ def test_value_types_roundtrip_and_stay_immutable(roundtrip):
     for value in _value_samples():
         clone = roundtrip(value)
         assert type(clone) is type(value)
-        names = [f.name for f in dataclasses.fields(value)]
+        names = (["real", "imag"] if isinstance(value, ApproxComplex)
+                 else [f.name for f in dataclasses.fields(value)])
         for name in names:
             got, want = getattr(clone, name), getattr(value, name)
             if isinstance(want, HolonomyAssignment):

@@ -141,3 +141,18 @@ def test_mixed_backend_arithmetic_promotes_to_approx():
     mixed = ApproxComplex(1.0) - z3
     assert isinstance(mixed, ApproxComplex)
     assert complex(mixed) == pytest.approx(1 - z3.to_complex())
+    # a builtin complex operand on either side promotes the same way
+    c3 = z3.to_complex()
+    for got, want in [
+        (z3 - (1 + 0j), c3 - 1),
+        ((2 + 0j) * z3, 2 * c3),
+        (z3 / ApproxComplex(2.0), c3 / 2),
+        (Fraction(1) / ApproxComplex(0.6, 0.8), complex(0.6, -0.8)),
+    ]:
+        assert isinstance(got, complex)
+        assert got == pytest.approx(want)
+    assert isinstance(z3 - (1 + 0j), ApproxComplex)
+    assert (z3 == complex(z3)) is True
+    assert (z3 == c3 + 1e-3) is False
+    with pytest.raises(ValueError, match="either a complex value or re/im parts"):
+        ApproxComplex(1 + 1j, 2)
