@@ -62,8 +62,21 @@ def parse_spin(text: str, n: int) -> SpinStructure:
         return standard_spin(n)
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if len(tokens) == n + 1 and all(t in ("1", "+1", "-1") for t in tokens):
-        return SpinStructure(tuple(int(t) for t in tokens))
-    return SpinStructure.from_subset([int(t) for t in tokens], n)
+        try:
+            return SpinStructure(tuple(int(t) for t in tokens))
+        except ValueError as exc:
+            raise ValueError("--spin %r: %s" % (text, exc)) from None
+
+    def index(token: str) -> int:
+        try:
+            i = int(token)
+        except ValueError:
+            i = 0  # refused just below, naming the token
+        if not 1 <= i <= n:
+            raise ValueError("--spin entry %r is not an index in 1..%d" % (token, n))
+        return i
+
+    return SpinStructure.from_subset([index(t) for t in tokens], n)
 
 
 def parse_holonomy(text: Optional[str], n: int, tol: float,

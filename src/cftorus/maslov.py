@@ -9,7 +9,10 @@ of the disc -- the independent numeric check of the combinatorial index.
 
 Degrees are accumulated from principal argument steps, so sampling must
 keep consecutive steps below pi; the samplers double their resolution
-until both the step bound and the integer-rounding residue hold.
+until both the step bound and the integer-rounding residue hold.  The
+samples of a loop are checked and wound as one (N, n, n) stack: frame
+unitarity, the plane invariants and det(D) each run once per stack and
+cover every sample.
 
 A disc that does meet the zeroth hyperplane reduces to the chart case by
 hand, not by an operation here: multiplying the zeroth coordinate by
@@ -47,6 +50,24 @@ class ChartError(ValueError):
     """Disc meets the hyperplane of the chart used for the frame loop."""
 
 
+def _check_unitary(a: np.ndarray, tol: float) -> None:
+    """Refuse a matrix, or an (N, n, n) stack, that is not unitary."""
+    defect = np.max(np.abs(a @ np.swapaxes(a.conj(), -1, -2) - np.eye(a.shape[-1])))
+    if defect > max(tol, 1e-7):
+        raise FrameError("frame is not unitary (defect %.3g)" % defect)
+
+
+def _plane_invariants(a: np.ndarray, tol: float) -> np.ndarray:
+    """D = A A^T of a matrix, or of each matrix of a stack, checked
+    symmetric with D conj(D) = Id."""
+    d = a @ np.swapaxes(a, -1, -2)
+    if np.max(np.abs(d @ d.conj() - np.eye(a.shape[-1]))) > max(tol, 1e-7):
+        raise FrameError("plane invariant failed D conj(D) = Id")
+    if np.max(np.abs(d - np.swapaxes(d, -1, -2))) > max(tol, 1e-7):
+        raise FrameError("plane invariant failed D = D^T")
+    return d
+
+
 @dataclass(frozen=True)
 class LagrangianFrame:
     """Unitary matrix whose columns frame the plane A.R^n."""
@@ -58,9 +79,7 @@ class LagrangianFrame:
         a = np.asarray(self.matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise FrameError("frame must be a square matrix")
-        defect = np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0])))
-        if defect > max(self.tol, 1e-7):
-            raise FrameError("frame is not unitary (defect %.3g)" % defect)
+        _check_unitary(a, self.tol)
         object.__setattr__(self, "matrix", a)
 
     @property
@@ -74,14 +93,7 @@ def diag_phase_frame(phases: Sequence[float]) -> LagrangianFrame:
 
 def b_map(frame: LagrangianFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The plane invariant D = A A^T: symmetric, with D conj(D) = Id."""
-    a = frame.matrix
-    d = a @ a.T
-    eye = np.eye(a.shape[0])
-    if np.max(np.abs(d @ d.conj() - eye)) > max(tol, 1e-7):
-        raise FrameError("plane invariant failed D conj(D) = Id")
-    if np.max(np.abs(d - d.T)) > max(tol, 1e-7):
-        raise FrameError("plane invariant failed D = D^T")
-    return d
+    return _plane_invariants(frame.matrix, tol)
 
 
 @dataclass(frozen=True)
@@ -125,11 +137,16 @@ def winding_number(samples, tol: float = DEFAULT_TOL,
     return int(nearest)
 
 
+def _stack_maslov(a: np.ndarray, tol: float, step_limit: float) -> int:
+    """Degree of det of the plane invariant along an (N, n, n) stack of
+    unitary frames sampled around a loop."""
+    return winding_number(np.linalg.det(_plane_invariants(a, tol)), tol, step_limit)
+
+
 def loop_maslov(loop: FrameLoop, tol: float = DEFAULT_TOL,
                 step_limit: float = math.pi) -> int:
     """Degree of det of the plane invariant along the loop."""
-    dets = [np.linalg.det(b_map(f, tol)) for f in loop.frames]
-    return winding_number(dets, tol, step_limit)
+    return _stack_maslov(np.stack([f.matrix for f in loop.frames]), tol, step_limit)
 
 
 def disc_boundary_maslov(d: BlaschkeDisc, tol: float = DEFAULT_TOL,
@@ -137,7 +154,9 @@ def disc_boundary_maslov(d: BlaschkeDisc, tol: float = DEFAULT_TOL,
                          max_samples: int = MAX_SAMPLES) -> int:
     """Numeric index of the boundary torus loop of a disc missing the
     zeroth hyperplane; equals twice the total winding of the coordinate
-    ratios, read through the frame-loop machinery.
+    ratios, read through the frame-loop machinery: the diagonal-phase
+    frames of all samples form one stack, checked unitary at the bound a
+    `LagrangianFrame` applies.
     """
     if d.mu[0] != 0:
         raise ChartError("disc meets the zeroth hyperplane (mu_0 = %d)" % d.mu[0])
@@ -145,11 +164,14 @@ def disc_boundary_maslov(d: BlaschkeDisc, tol: float = DEFAULT_TOL,
     while True:
         vals = disc_eval_boundary(d, num)
         phases = np.angle((vals[1:] / vals[0]).T)
-        frames = tuple(diag_phase_frame(row) for row in phases)
+        frames = np.zeros(phases.shape + phases.shape[-1:], dtype=complex)
+        diag = np.arange(phases.shape[-1])
+        frames[:, diag, diag] = np.exp(1j * phases)
+        _check_unitary(frames, DEFAULT_TOL)
         try:
             # stricter step bound than the pi ambiguity threshold, so a
             # passing sample count is comfortably unambiguous
-            return loop_maslov(FrameLoop(frames), tol, step_limit=math.pi / 2)
+            return _stack_maslov(frames, tol, step_limit=math.pi / 2)
         except UndersampledLoopError:
             if num >= max_samples:
                 raise

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import re
 import subprocess
 import sys
 
@@ -146,12 +148,39 @@ def test_scan_guards(capsys, monkeypatch):
     (["maslov-check", "--count", "-5"], "--count"),
     (["hf", "--n", "2", "--holonomy=0.6,0.8,1;1,0"], "'0.6,0.8,1'"),
     (["hf", "--n", "2", "--holonomy=0.6,;1,0"], "'0.6,'"),
+    (["hf", "--n", "2", "--spin", "a"], "--spin entry 'a'"),
+    (["hf", "--n", "2", "--spin", "1,x"], "--spin entry 'x'"),
+    (["hf", "--n", "2", "--spin", "0.5"], "--spin entry '0.5'"),
+    (["hf", "--n", "2", "--spin", "5"], "--spin entry '5'"),
 ])
 def test_bad_inputs_exit_2_naming_them(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
     assert named in err
+
+
+# pieces the spin and holonomy parsers split on or treat specially
+SWEEP_PIECES = ("1", "-1", "0", "2", "/", ",", ";", "{", "}", "nan", "inf",
+                "1e400", "0.6", "a")
+
+
+@pytest.mark.parametrize("option", ["--spin", "--holonomy"])
+def test_hf_parser_sweep(capsys, option):
+    # every string is answered or refused with exit 2, and a refusal names
+    # the option or quotes the part of the input it could not read
+    rng = random.Random(17)
+    for _ in range(250):
+        text = "".join(rng.choice(SWEEP_PIECES)
+                       for _ in range(rng.randint(1, 8)))
+        code, out, err = run_cli(capsys, ["hf", "--n", "2",
+                                          "%s=%s" % (option, text)])
+        assert code in (0, 2), text
+        if code == 2:
+            assert out == "", text
+            quoted = re.findall(r"'([^']+)'", err)
+            assert (option.lstrip("-") in err
+                    or any(q in text for q in quoted)), (text, err)
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
@@ -284,6 +313,22 @@ def test_hf_approx_golden(capsys, case):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
     assert err == want_err
+
+
+# maslov-check reports, pinned the same way: seed -> stdout sha256 at --count 200
+MASLOV_GOLDEN = {
+    0: "23db338e9ba008f9fd89553d1530860b533f47a3c51414feaf48745159f138c1",
+    1: "fd62f3c865992844f65a22773d76bc9c774bf473e794c21d926c26f2fbf35c29",
+    2: "2d44a9700bceb824235e1ff07569fe72bee2774ade5b0de9229a54bc0b9458de",
+}
+
+
+@pytest.mark.parametrize("seed", list(MASLOV_GOLDEN))
+def test_maslov_check_golden(capsys, seed):
+    code, out, _ = run_cli(capsys, ["maslov-check", "--count", "200",
+                                    "--seed", str(seed)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MASLOV_GOLDEN[seed]
 
 
 def test_scan_jobs_flag_keeps_output_order():

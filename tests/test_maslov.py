@@ -8,10 +8,12 @@ import pytest
 from cftorus.discs import (
     BlaschkeComponent,
     BlaschkeFactor,
+    disc_eval_boundary,
     disc_make,
     random_disc,
 )
 from cftorus.maslov import (
+    MAX_SAMPLES,
     ChartError,
     FrameError,
     FrameLoop,
@@ -137,6 +139,43 @@ def test_loop_additive_under_splice():
                 == loop_maslov(loop1) + loop_maslov(loop2))
 
 
+def _per_frame_maslov(frames, step_limit=math.pi):
+    # the frame-by-frame route: one plane invariant and one det per frame
+    return winding_number([np.linalg.det(b_map(f)) for f in frames],
+                          step_limit=step_limit)
+
+
+def test_loop_matches_per_frame_route_on_non_diagonal_loops():
+    rng = random.Random(23)
+    for _ in range(30):
+        size = rng.randint(1, 4)
+        windings = [rng.randint(-3, 3) for _ in range(size)]
+        u = random_unitary(rng, size)
+        loop = FrameLoop(tuple(LagrangianFrame(u @ f.matrix)
+                               for f in _diag_loop(windings).frames))
+        assert loop_maslov(loop) == _per_frame_maslov(loop.frames) == sum(windings)
+
+
+def test_loop_undersampling_error_matches_per_frame_route():
+    # det steps of 2 pi * 5/16 exceed the disc sampler's pi/2 bound
+    loop = _diag_loop([2, 3], num=16)
+    with pytest.raises(UndersampledLoopError) as per_frame:
+        _per_frame_maslov(loop.frames, math.pi / 2)
+    with pytest.raises(UndersampledLoopError) as stacked:
+        loop_maslov(loop, step_limit=math.pi / 2)
+    assert str(stacked.value) == str(per_frame.value)
+
+
+def test_loop_plane_invariant_error_matches_per_frame_route():
+    # a frame accepted under a loose tol fails D conj(D) = Id at the default
+    frames = (LagrangianFrame(1.1 * np.eye(2), tol=0.5),) * 4
+    with pytest.raises(FrameError) as per_frame:
+        _per_frame_maslov(frames)
+    with pytest.raises(FrameError) as stacked:
+        loop_maslov(FrameLoop(frames))
+    assert str(stacked.value) == str(per_frame.value)
+
+
 def test_loop_invariant_under_fixed_orthogonal_change():
     rng = random.Random(14)
     theta = 1.1
@@ -185,6 +224,25 @@ def test_numeric_equals_combinatorial_on_random_discs():
     for _ in range(50):
         d = random_disc(rng, rng.randint(1, 4), max_degree=4, chart0=True)
         assert disc_boundary_maslov(d) == maslov_index(d)
+
+
+def test_disc_matches_per_frame_route_on_random_discs():
+    # diag_phase_frame per sample, from 256 samples, doubling while undersampled
+    rng = random.Random(31)
+    for _ in range(50):
+        d = random_disc(rng, rng.randint(1, 4), max_degree=4, chart0=True)
+        num = 256
+        while True:
+            vals = disc_eval_boundary(d, num)
+            phases = np.angle((vals[1:] / vals[0]).T)
+            try:
+                expected = _per_frame_maslov(
+                    [diag_phase_frame(row) for row in phases], math.pi / 2)
+                break
+            except UndersampledLoopError:
+                assert num < MAX_SAMPLES
+                num *= 2
+        assert disc_boundary_maslov(d) == expected
 
 
 def test_zero_near_boundary_forces_adaptive_resampling():
