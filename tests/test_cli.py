@@ -261,6 +261,10 @@ SCAN_GOLDEN = {
         "518910c47215d89385cd2fb3a01b76447c70cce80e33a6267e09d15ed181c368",
         "54e24c13847faefcb2f76a31bf28c4ad63b58b6a44f82e681a36676f3bbfaa3c",
         "nonvanishing: 4 of 64 holonomy assignments\n"),
+    ("brane-scan", 4): (
+        "88529ddb7fd579da040fa69291569bb3b6870060f0acad0cd7f62865d233e3ff",
+        "d2c4b455177d2f03e4bff70a2e64a041510c1aa7ebc85a6012f7b17b2aeab710",
+        "nonvanishing: 5 of 625 holonomy assignments\n"),
 }
 
 
@@ -313,6 +317,30 @@ def test_hf_approx_golden(capsys, case):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
     assert err == want_err
+
+
+# the exact hf path, pinned the same way: (argv, stdout sha256)
+HF_EXACT_GOLDEN = {
+    "n3-twisted": (
+        ["hf", "--n", "3", "--spin", "{2}", "--holonomy", "1/3,1/3,1/3"],
+        "a7a6e047a25306c1db7aee77c7c3b9b959cbacf1552d36c589981dd3c69346dd"),
+    "n2-order-402": (
+        ["hf", "--n", "2", "--holonomy", "1/201,1/2"],
+        "6d03ac89426a8631d6fbad0927c3caf640cfc29f9963420c38c363caca4cf3f6"),
+    "n3-all-twisted-csv": (
+        ["hf", "--n", "3", "--spin", "1,2,3", "--holonomy", "1/4,1/4,1/4",
+         "--format", "csv"],
+        "5fe6ba8358b89ee3a39e9f0e077a1a1bb74d7f74b1fb840e0f0145597b649377"),
+}
+
+
+@pytest.mark.parametrize("case", list(HF_EXACT_GOLDEN))
+def test_hf_exact_golden(capsys, case):
+    argv, out_sha = HF_EXACT_GOLDEN[case]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    assert err == ""
 
 
 # maslov-check reports, pinned the same way: seed -> stdout sha256 at --count 200
