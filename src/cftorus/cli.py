@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
-from math import comb, inf, nan
+from math import comb, inf, lcm, nan
 from typing import Optional
 
 from . import discs, maslov, oracle, signs
@@ -35,6 +35,9 @@ from .scalars import DEFAULT_TOL
 
 SPIN_SCAN_MAX_N = 12
 BRANE_SCAN_MAX_N = 6
+#: largest lcm of exact --holonomy denominators; the Q(zeta_m) tables the
+#: exact backend builds grow about as its square (README gives the timing)
+HOLONOMY_LCM_MAX = 720
 
 #: command -> (largest n, cell count formula, config generator, summary noun)
 SCANS = {
@@ -86,7 +89,8 @@ def parse_holonomy(text: Optional[str], n: int, tol: float,
     Approximate entries need ";" separators since "," splits re from im.
     Mixed entries promote everything to the approximate backend with a
     warning; --backend approx forces promotion, --backend exact rejects
-    approximate entries.
+    approximate entries.  Exact entries whose denominators have an lcm
+    above HOLONOMY_LCM_MAX are refused.
     """
     if text is None:
         entries = ["0/1"] * n
@@ -140,7 +144,11 @@ def parse_holonomy(text: Optional[str], n: int, tol: float,
         promoted = [v if v is not None else cmath.exp(2j * cmath.pi * float(a))
                     for a, v in zip(angles, values)]
         return HolonomyAssignment.from_values(promoted, tol)
-    return HolonomyAssignment.from_angles([a for a in angles])
+    order = lcm(*(a.denominator for a in angles))
+    if order > HOLONOMY_LCM_MAX:
+        raise ValueError("--holonomy denominators have lcm %d; the exact backend "
+                         "takes at most %d" % (order, HOLONOMY_LCM_MAX))
+    return HolonomyAssignment.from_angles(angles)
 
 
 def _emit_json(record: dict) -> None:

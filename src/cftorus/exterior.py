@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -225,27 +225,31 @@ def matrix_to_strings(matrix):
     return [[scalar_str(x) for x in row] for row in matrix]
 
 
-def rank(matrix, tol: float = DEFAULT_TOL) -> int:
+def rank(matrix, tol: float = DEFAULT_TOL, modulus: Optional[int] = None) -> int:
     """Exact elimination rank over the field, or a singular-value count.
 
-    The approximate backend counts singular values above
+    With a prime modulus the integer entries are read in F_p.  The
+    approximate backend counts singular values above
     tol * (largest singular value).
     """
     if not matrix or not matrix[0]:
         return 0
-    if matrix_is_exact(matrix):
-        return _rank_exact(matrix)
+    if modulus or matrix_is_exact(matrix):
+        return _rank_exact(matrix, modulus)
     return _rank_svd(matrix, tol)
 
 
-def _rank_exact(matrix) -> int:
-    rows = [list(row) for row in matrix]
+def _rank_exact(matrix, modulus: Optional[int] = None) -> int:
+    if modulus:
+        rows = [[x % modulus for x in row] for row in matrix]
+    else:
+        rows = [list(row) for row in matrix]
     ncols = len(rows[0])
     r = 0
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(rows)):
-            if not scalar_is_zero(rows[i][c]):
+            if rows[i][c]:  # exact scalars are falsy exactly at zero
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -254,9 +258,10 @@ def _rank_exact(matrix) -> int:
         pivot = rows[r][c]
         for i in range(r + 1, len(rows)):
             a = rows[i][c]
-            if not scalar_is_zero(a):
+            if a:
                 # division-free update keeps every entry in the ring
-                rows[i] = [pivot * x - a * y for x, y in zip(rows[i], rows[r])]
+                row = [pivot * x - a * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x % modulus for x in row] if modulus else row
         r += 1
         if r == len(rows):
             break
@@ -283,11 +288,14 @@ class GradedMatrixComplex:
 
     D_n (into the zero group) is implicitly zero.  The defining invariant
     is that consecutive composites vanish; `validate` checks it and
-    `cohomology_ranks` refuses families that fail it.
+    `cohomology_ranks` refuses families that fail it.  With a prime
+    `modulus` the entries are integers read in F_p, and both the check
+    and the ranks are taken there.
     """
 
     n: int
     matrices: tuple
+    modulus: Optional[int] = None
 
     def __post_init__(self):
         if len(self.matrices) != self.n:
@@ -300,21 +308,28 @@ class GradedMatrixComplex:
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         for k in range(self.n - 1):
-            if not matrix_is_zero(matmul(self.matrices[k + 1], self.matrices[k]), tol):
+            composite = matmul(self.matrices[k + 1], self.matrices[k])
+            if self.modulus:
+                composite = [[x % self.modulus for x in row] for row in composite]
+            if not matrix_is_zero(composite, tol):
                 raise NotAComplexError(
                     "composite D_%d o D_%d is not zero" % (k + 1, k))
 
 
-def koszul_complex(n: int, v: Sequence) -> GradedMatrixComplex:
-    """The wedge-by-v family on the exterior algebra of rank n."""
+def koszul_complex(n: int, v: Sequence,
+                   modulus: Optional[int] = None) -> GradedMatrixComplex:
+    """The wedge-by-v family on the exterior algebra of rank n.
+
+    With a prime modulus, v holds residues mod it and the family is over F_p.
+    """
     return GradedMatrixComplex(
-        n, tuple(wedge_by_vector(n, v, k) for k in range(n)))
+        n, tuple(wedge_by_vector(n, v, k) for k in range(n)), modulus)
 
 
 def cohomology_ranks(cx: GradedMatrixComplex, tol: float = DEFAULT_TOL):
     """Per-degree ranks C(n,k) - rank(D_k) - rank(D_(k-1)), k = 0..n."""
     cx.validate(tol)
-    d_ranks = [rank(cx.matrix(k), tol) for k in range(cx.n)]
+    d_ranks = [rank(cx.matrix(k), tol, cx.modulus) for k in range(cx.n)]
     out = []
     for k in range(cx.n + 1):
         above = d_ranks[k] if k < cx.n else 0

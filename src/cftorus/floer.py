@@ -17,7 +17,9 @@ from.
 Everything downstream is decided by whether v vanishes: wedging by a
 nonzero vector is exact, wedging by zero is the zero map.  Ranks are
 computed both ways -- brute force from the matrices and in closed form --
-so each route checks the other.
+so each route checks the other.  For exact weights the two routes also
+run over different fields: the matrices over a prime field F_p, the
+closed-form zero test in Q(zeta_m).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .scalars import (
     DEFAULT_TOL,
     ApproxComplex,
     is_exact_scalar,
+    reduce_mod_p,
     root_of_unity,
     scalar_is_zero,
     scalar_str,
@@ -107,7 +110,7 @@ class HolonomyAssignment:
 
     Exact assignments are built from rational angles p/q (fractions of a
     full turn); approximate ones from complex values of unit modulus
-    within the tolerance.
+    within the tolerance, which also bounds |h_0 * h_1 * .. * h_n - 1|.
     """
 
     h: tuple
@@ -115,7 +118,8 @@ class HolonomyAssignment:
     angles: Optional[tuple]
     exact: bool
 
-    def __init__(self, h: Sequence, h0, angles: Optional[Sequence], exact: bool):
+    def __init__(self, h: Sequence, h0, angles: Optional[Sequence], exact: bool,
+                 tol: float = DEFAULT_TOL):
         object.__setattr__(self, "h", tuple(h))
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "angles", tuple(angles) if angles is not None else None)
@@ -126,8 +130,9 @@ class HolonomyAssignment:
         if exact:
             if prod != 1:
                 raise ValueError("holonomy product h_0 * h_1 * .. * h_n must be 1")
-        elif abs(scalar_to_complex(prod) - 1.0) > 1e-6:
-            raise ValueError("holonomy product h_0 * h_1 * .. * h_n must be 1")
+        elif not abs(scalar_to_complex(prod) - 1.0) <= tol:
+            raise ValueError("holonomy product h_0 * h_1 * .. * h_n must be 1 "
+                             "within %g" % tol)
 
     @property
     def n(self) -> int:
@@ -160,7 +165,7 @@ class HolonomyAssignment:
         for z in vals:
             prod *= complex(z)
         h0 = ApproxComplex(1.0 / prod)
-        return cls(vals, h0, angles=None, exact=False)
+        return cls(vals, h0, angles=None, exact=False, tol=tol)
 
     def with_h0(self) -> Tuple:
         """(h_0, h_1, .., h_n)."""
@@ -257,10 +262,20 @@ def floer_coboundary_complex(n: int, w: WeightVector) -> GradedMatrixComplex:
 
 def floer_ranks_bruteforce(n: int, w: WeightVector,
                            tol: float = DEFAULT_TOL) -> RankTable:
-    """Ranks from the actual matrices of the coboundary."""
+    """Ranks from the actual matrices of the coboundary.
+
+    Exact weights are taken to F_p by `reduce_mod_p`, which keeps every
+    nonzero weight nonzero.  Wedging by a vector with a unit entry is
+    exact over any field and wedging by zero is the zero map, so the
+    F_p table equals the table over Q(zeta_m).
+    """
     if w.n != n:
         raise ValueError("weight rank %d != n=%d" % (w.n, n))
-    cx = floer_coboundary_complex(n, w)
+    if w.exact:
+        p, v = reduce_mod_p(w.v)
+        cx = koszul_complex(n, v, p)
+    else:
+        cx = floer_coboundary_complex(n, w)
     return RankTable(n, tuple(cohomology_ranks(cx, tol)))
 
 

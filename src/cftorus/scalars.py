@@ -10,6 +10,10 @@ Two backends feed every linear-algebra routine in this package:
   arithmetic returns builtin ``complex``; the zero test compares against a
   tolerance (default ``DEFAULT_TOL``).
 
+The exact dense rank route does not compute in Q(zeta_m) itself:
+:func:`reduce_mod_p` maps its exact entries into a prime field F_p with
+p = 1 (mod m), refusing any nonzero entry that would vanish there.
+
 Rational angles ("p/q" of a full turn) are routed to the exact backend,
 decimal inputs to the approximate one; mixing the two promotes everything
 to approximate: a ``Cyclotomic`` combined with a ``float`` or ``complex``
@@ -27,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 DEFAULT_TOL = 1e-9
@@ -385,3 +389,101 @@ def simplify_exact(x):
         f = x.coeffs[0]
         return int(f) if f.denominator == 1 else f
     return x
+
+
+# ---------------------------------------------------------------------------
+# prime-field images of exact values
+# ---------------------------------------------------------------------------
+
+PRIME_BOUND = 1 << 31
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3,215,031,751."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(m: int) -> list:
+    out, q = [], 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return out + [m] if m > 1 else out
+
+
+def check_prime_field(p: int, g: int, m: int) -> None:
+    """Refuse (p, g) unless p is a prime = 1 (mod m) below 2^31 and g has order m.
+
+    Then zeta_m -> g is a ring map Z[zeta_m] -> F_p.
+    """
+    if not (p < PRIME_BOUND and is_prime(p) and (p - 1) % m == 0):
+        raise ValueError("%d is not a prime below 2^31 that is 1 mod %d" % (p, m))
+    if pow(g, m, p) != 1 or any(pow(g, m // q, p) == 1 for q in _prime_factors(m)):
+        raise ValueError("%d does not have order %d mod %d" % (g, m, p))
+
+
+@lru_cache(maxsize=None)
+def prime_field(m: int) -> tuple:
+    """(p, g): the largest prime p = 1 (mod m) below 2^31, g of exact order m mod p."""
+    p = (PRIME_BOUND - 2) // m * m + 1
+    while not is_prime(p):
+        p -= m
+        if p < 2:
+            raise ValueError("no prime below 2^31 is 1 mod %d" % m)
+    factors = _prime_factors(m)
+    for h in range(2, p):
+        g = pow(h, (p - 1) // m, p)
+        if all(pow(g, m // q, p) != 1 for q in factors):
+            break
+    check_prime_field(p, g, m)
+    return p, g
+
+
+def _rational_mod(c, p: int) -> int:
+    if c.denominator % p == 0:
+        raise ValueError("denominator of %s is divisible by p=%d" % (c, p))
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+def reduce_mod_p(values) -> tuple:
+    """(p, residues) of exact values under zeta_q -> g^(M/q), M = lcm(2, orders).
+
+    (p, g) is `prime_field(M)`.  A value whose image is 0 but which is not
+    0 itself is refused, as is a denominator divisible by p; so a residue
+    vanishes exactly when its value does.
+    """
+    m = lcm(2, *(x.order for x in values if isinstance(x, Cyclotomic)))
+    p, g = prime_field(m)
+    residues = []
+    for x in values:
+        if isinstance(x, Cyclotomic):
+            root = pow(g, m // x.order, p)
+            r = sum(_rational_mod(c, p) * pow(root, k, p)
+                    for k, c in enumerate(x.coeffs) if c) % p
+        else:
+            r = _rational_mod(x, p)
+        if x and not r:
+            raise ValueError("%s is not zero but vanishes mod p=%d" % (scalar_str(x), p))
+        residues.append(r)
+    return p, residues

@@ -152,12 +152,34 @@ def test_scan_guards(capsys, monkeypatch):
     (["hf", "--n", "2", "--spin", "1,x"], "--spin entry 'x'"),
     (["hf", "--n", "2", "--spin", "0.5"], "--spin entry '0.5'"),
     (["hf", "--n", "2", "--spin", "5"], "--spin entry '5'"),
+    (["hf", "--n", "2", "--holonomy", "1/2012,1/21"], "--holonomy"),
 ])
 def test_bad_inputs_exit_2_naming_them(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
     assert named in err
+
+
+def test_holonomy_lcm_cap(capsys, monkeypatch):
+    # the cap is on the lcm of the denominators, not on the largest one
+    for text in ("1/720,1/1", "1/80,1/9"):
+        code, out, _ = run_cli(capsys, ["hf", "--n", "2", "--holonomy", text])
+        assert code == 0 and json.loads(out)["backend"] == "exact"
+
+    def never(*args, **kwargs):
+        raise AssertionError("a refused holonomy reached the exact backend")
+
+    monkeypatch.setattr(cli.HolonomyAssignment, "from_angles", never)
+    for text, order in (("1/721,0/1", 721), ("1/80,1/11", 880)):
+        code, out, err = run_cli(capsys, ["hf", "--n", "2", "--holonomy", text])
+        assert (code, out) == (2, "")
+        assert err == ("error: --holonomy denominators have lcm %d; the exact "
+                       "backend takes at most 720\n" % order)
+    # the approximate backend does not build Q(zeta_m) and takes the entries
+    code, out, _ = run_cli(capsys, ["hf", "--n", "2", "--backend", "approx",
+                                    "--holonomy", "1/721,0/1"])
+    assert code == 0 and json.loads(out)["backend"] == "approx"
 
 
 # pieces the spin and holonomy parsers split on or treat specially

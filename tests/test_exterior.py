@@ -126,6 +126,20 @@ def test_not_a_complex_is_rejected():
         cohomology_ranks(bad)
 
 
+def test_modulus_reads_entries_in_the_prime_field():
+    p = 7
+    # rank 2 over Q, 1 over F_7
+    assert rank([[1, 1], [1, 8]]) == 2
+    assert rank([[1, 1], [1, 8]], modulus=p) == 1
+    assert rank([[p, 2 * p]], modulus=p) == 0
+    # D_1 o D_0 = (7) is zero only mod 7
+    family = ([[1], [0]], [[p, 0]])
+    with pytest.raises(NotAComplexError):
+        cohomology_ranks(GradedMatrixComplex(2, family))
+    assert cohomology_ranks(GradedMatrixComplex(2, family, p)) == [0, 1, 1]
+    assert cohomology_ranks(koszul_complex(2, [0, p], p)) == [1, 2, 1]
+
+
 def test_exact_and_approx_backends_agree_on_root_of_unity_ranks():
     rng = random.Random(17)
     for n in range(1, 8):

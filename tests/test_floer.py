@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from cftorus.exterior import ExteriorClass, index_sets, matmul, matrix_is_zero
+from cftorus.exterior import (
+    ExteriorClass,
+    cohomology_ranks,
+    index_sets,
+    koszul_complex,
+    matmul,
+    matrix_is_zero,
+)
 from cftorus.floer import (
     FullDifferential,
     HolonomyAssignment,
@@ -14,6 +21,7 @@ from cftorus.floer import (
     NovikovCochain,
     SpinStructure,
     WeightVector,
+    brane_configs,
     brane_scan,
     delta2,
     dimension_deficit,
@@ -22,11 +30,12 @@ from cftorus.floer import (
     floer_ranks_bruteforce,
     floer_ranks_closedform,
     full_differential,
+    spin_configs,
     spin_scan,
     standard_spin,
     weights,
 )
-from cftorus.scalars import ApproxComplex, root_of_unity
+from cftorus.scalars import ApproxComplex, prime_field, root_of_unity
 
 
 # -- spin structures -----------------------------------------------------------
@@ -83,6 +92,14 @@ def test_holonomy_approx_requires_unit_modulus():
     hol = HolonomyAssignment.from_values([complex(0.6, 0.8)])
     assert not hol.exact
     assert abs(complex(hol.h0) * complex(hol.h[0]) - 1) < 1e-12
+
+
+def test_holonomy_product_checked_at_the_callers_tolerance():
+    one = ApproxComplex(1.0)
+    off = ApproxComplex(1.0 + 1e-7)
+    with pytest.raises(ValueError, match="must be 1 within 1e-09"):
+        HolonomyAssignment([one], off, angles=None, exact=False)
+    assert HolonomyAssignment([one], off, angles=None, exact=False, tol=1e-6).h0 == off
 
 
 # -- weights -------------------------------------------------------------------
@@ -192,6 +209,27 @@ def test_bruteforce_ranks_nontrivial_weights():
     table = floer_ranks_bruteforce(2, w)
     assert table.by_lambda_degree == (0, 0, 0)
     assert not table.nonvanishing
+
+
+@pytest.mark.parametrize("configs,n", [(spin_configs, n) for n in range(1, 7)]
+                         + [(brane_configs, n) for n in range(1, 4)],
+                         ids=["spin-%d" % n for n in range(1, 7)]
+                         + ["brane-%d" % n for n in range(1, 4)])
+def test_prime_field_tables_equal_cyclotomic_tables(configs, n):
+    # oracle: the same dense route with no modulus, in Q(zeta_m)
+    for spin, hol in configs(n):
+        w = weights(spin, hol)
+        exact = cohomology_ranks(koszul_complex(n, list(w.v)))
+        assert floer_ranks_bruteforce(n, w).by_lambda_degree == tuple(exact)
+
+
+def test_bruteforce_refuses_a_weight_that_vanishes_mod_p():
+    # v = (p) is a nonzero vector, so the exact table is zero; mod p it
+    # would be the zero map with the binomial table
+    p, _ = prime_field(2)
+    assert cohomology_ranks(koszul_complex(1, [p])) == [0, 0]
+    with pytest.raises(ValueError, match="vanishes mod p"):
+        floer_ranks_bruteforce(1, WeightVector.from_vector([p]))
 
 
 def test_bruteforce_ranks_n1():

@@ -4,9 +4,14 @@ from fractions import Fraction
 import pytest
 
 from cftorus.scalars import (
+    PRIME_BOUND,
     ApproxComplex,
     Cyclotomic,
+    check_prime_field,
     cyclotomic_polynomial,
+    is_prime,
+    prime_field,
+    reduce_mod_p,
     root_of_unity,
     scalar_is_zero,
     simplify_exact,
@@ -156,3 +161,76 @@ def test_mixed_backend_arithmetic_promotes_to_approx():
     assert (z3 == c3 + 1e-3) is False
     with pytest.raises(ValueError, match="either a complex value or re/im parts"):
         ApproxComplex(1 + 1j, 2)
+
+
+# -- prime-field images --------------------------------------------------------
+
+def _sieve(limit):
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for q in range(2, int(limit ** 0.5) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytearray(len(flags[q * q::q]))
+    return [q for q in range(limit + 1) if flags[q]]
+
+
+_PRIMES_TO_2_16 = _sieve(1 << 16)  # enough trial divisors for any p < 2^31
+
+
+def _is_prime_by_trial_division(n):
+    return n > 1 and all(n % q for q in _PRIMES_TO_2_16 if q * q <= n)
+
+
+def test_is_prime_matches_trial_division():
+    small = set(_sieve(5000))
+    assert [n for n in range(5001) if is_prime(n)] == sorted(small)
+    # strong pseudoprimes to some of the bases, Carmichael numbers, and the
+    # largest primes below the bound
+    for n in (2047, 1373653, 25326001, 3215031751 - 2, 561, 41041, 825265,
+              PRIME_BOUND - 1, PRIME_BOUND - 3, PRIME_BOUND - 19):
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+
+
+@pytest.mark.parametrize("m", range(1, 201))
+def test_prime_field_has_prime_one_mod_m_and_root_of_exact_order(m):
+    p, g = prime_field(m)
+    assert p < PRIME_BOUND and _is_prime_by_trial_division(p)
+    assert (p - 1) % m == 0
+    # order by brute force: g^d == 1 for d = m and no smaller positive d
+    powers, x = [], 1
+    for _ in range(m):
+        x = x * g % p
+        powers.append(x)
+    assert powers[-1] == 1 and 1 not in powers[:-1]
+
+
+def test_prime_field_check_refuses_wrong_prime_or_root():
+    p, g = prime_field(10)
+    check_prime_field(p, g, 10)
+    with pytest.raises(ValueError, match="1 mod 10"):
+        check_prime_field(2147483647, g, 10)  # prime, but 6 mod 10
+    with pytest.raises(ValueError, match="1 mod 10"):
+        check_prime_field(p - 10, g, 10)  # 1 mod 10, not prime
+    with pytest.raises(ValueError, match="order 10"):
+        check_prime_field(p, g * g % p, 10)  # order 5
+    with pytest.raises(ValueError, match="order 10"):
+        check_prime_field(p, p - 1, 10)  # order 2
+
+
+def test_reduce_mod_p_is_a_ring_map_on_roots_of_unity():
+    rng = random.Random(23)
+    for _ in range(40):
+        q1, q2 = rng.randint(1, 12), rng.randint(1, 12)
+        x = root_of_unity(rng.randrange(q1), q1) - Fraction(rng.randint(1, 5), 3)
+        y = root_of_unity(rng.randrange(q2), q2)
+        p, (rx, ry, rxy, rsum) = reduce_mod_p([x, y, x * y, x + y])
+        assert rxy == rx * ry % p and rsum == (rx + ry) % p
+
+
+def test_reduce_mod_p_refuses_hidden_zeros_and_p_denominators():
+    p, _ = prime_field(2)
+    assert reduce_mod_p([0, 3, Fraction(-1, 2)]) == (p, [0, 3, (p - 1) // 2])
+    with pytest.raises(ValueError, match="vanishes mod p"):
+        reduce_mod_p([p])
+    with pytest.raises(ValueError, match="divisible by p"):
+        reduce_mod_p([Fraction(1, p)])
