@@ -10,7 +10,13 @@ Library layout:
 * :mod:`cftorus.signs`    -- orientation sign conventions and their replays
 * :mod:`cftorus.oracle`   -- simplicial-cochain brute-force cross-checks
 * :mod:`cftorus.cli`      -- the ``cftorus`` command
+
+Only :mod:`cftorus.discs` and :mod:`cftorus.maslov` (and SVD rank) need
+numpy.  Their names are imported on first access, so exact computations
+never load it.
 """
+
+from importlib import import_module as _import_module
 
 from .scalars import (
     ApproxComplex,
@@ -52,30 +58,6 @@ from .floer import (
     standard_spin,
     weights,
 )
-from .discs import (
-    BlaschkeComponent,
-    BlaschkeDisc,
-    BlaschkeFactor,
-    DegenerateDiscError,
-    MoebiusMap,
-    disc_eval,
-    disc_make,
-    homotopy_class,
-    maslov_index,
-    psl2_act,
-    solve_disc_through_point,
-)
-from .maslov import (
-    ChartError,
-    FrameError,
-    FrameLoop,
-    LagrangianFrame,
-    UndersampledLoopError,
-    b_map,
-    disc_boundary_maslov,
-    loop_maslov,
-    winding_number,
-)
 from .signs import (
     OrientedFactor,
     OrientedFactorization,
@@ -96,3 +78,33 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
+
+#: public name -> submodule it is imported from on first access (PEP 562)
+_LAZY = {
+    "discs": "discs",
+    **dict.fromkeys((
+        "BlaschkeComponent", "BlaschkeDisc", "BlaschkeFactor",
+        "DegenerateDiscError", "MoebiusMap", "disc_eval", "disc_make",
+        "homotopy_class", "maslov_index", "psl2_act", "solve_disc_through_point",
+    ), "discs"),
+    "maslov": "maslov",
+    **dict.fromkeys((
+        "ChartError", "FrameError", "FrameLoop", "LagrangianFrame",
+        "UndersampledLoopError", "b_map", "disc_boundary_maslov",
+        "loop_maslov", "winding_number",
+    ), "maslov"),
+}
+
+__all__ = sorted({name for name in globals() if not name.startswith("_")}
+                 | _LAZY.keys())
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = _import_module("." + _LAZY[name], __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

@@ -22,7 +22,7 @@ from functools import partial
 from math import comb, inf, lcm, nan
 from typing import Optional
 
-from . import discs, maslov, oracle, signs
+from . import oracle, signs
 from .floer import (
     HolonomyAssignment,
     SpinStructure,
@@ -219,6 +219,8 @@ def cmd_scan(command: str, n: int, tol: float, fmt: str, jobs: int) -> int:
 
 
 def cmd_maslov_check(count: int, seed: int, tol: float) -> int:
+    from . import discs, maslov  # numpy loads here, not at start-up
+
     rng = random.Random(seed)
     mismatches = []
     for _ in range(count):
@@ -244,6 +246,7 @@ def cmd_maslov_check(count: int, seed: int, tol: float) -> int:
 
 
 def _selftest_checks(tol: float):
+    from . import discs, maslov
     from .floer import WeightVector, floer_ranks_bruteforce, spin_scan
 
     def spin_dichotomy():

@@ -19,8 +19,6 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .scalars import (
     DEFAULT_TOL,
     is_exact_scalar,
@@ -269,6 +267,8 @@ def _rank_exact(matrix, modulus: Optional[int] = None) -> int:
 
 
 def _rank_svd(matrix, tol: float) -> int:
+    import numpy as np  # only the approximate backend needs numpy
+
     arr = np.array([[scalar_to_complex(x) for x in row] for row in matrix],
                    dtype=complex)
     if arr.size == 0:

@@ -339,9 +339,16 @@ class ApproxComplex(complex):
 
     __slots__ = ()
 
+    def __new__(cls, real=0.0, imag=0.0):
+        # refused before complex() sees it: Python 3.14 warns on complex(z, im)
+        if isinstance(real, complex):
+            if imag:
+                raise ValueError("pass either a complex value or re/im parts")
+            return super().__new__(cls, real)
+        return super().__new__(cls, real, imag)
+
     def __init__(self, real=0.0, imag=0.0):
-        if imag and isinstance(real, complex):
-            raise ValueError("pass either a complex value or re/im parts")
+        pass  # object.__init__ would refuse the arguments once __init__ is wrapped
 
 
 # ---------------------------------------------------------------------------

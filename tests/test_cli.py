@@ -244,6 +244,69 @@ def test_maslov_check_deterministic_bytes():
     assert first.stdout == second.stdout
 
 
+# a fresh interpreter imports cftorus, then cftorus.cli, then runs each
+# command in turn, and reports after each step whether numpy is loaded
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import cftorus
+loaded = ["numpy" in sys.modules]
+from cftorus import cli
+loaded.append("numpy" in sys.modules)
+sink = io.StringIO()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        assert cli.main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def numpy_loaded_after(*commands):
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_exact_commands_never_import_numpy():
+    exact = [["hf", "--n", "3", "--spin", "{2}", "--holonomy", "1/3,1/3,1/3"],
+             ["spin-scan", "3"], ["brane-scan", "2"]]
+    approx = ["hf", "--n", "2", "--holonomy", "0.6,0.8;0.6,-0.8"]
+    assert numpy_loaded_after(*exact, approx) == [False] * 5 + [True]
+    assert numpy_loaded_after(["maslov-check", "--count", "1"]) == [False, False, True]
+
+
+#: every public name of the cftorus package, as exported when all of its
+#: submodules were imported eagerly
+PUBLIC_NAMES = """
+    ApproxComplex BlaschkeComponent BlaschkeDisc BlaschkeFactor ChartError
+    CochainAssignment Cyclotomic DEFAULT_TOL DegenerateDiscError ExteriorClass
+    FrameError FrameLoop FullDifferential GradedMatrixComplex HolonomyAssignment
+    HomotopyClass LagrangianFrame MoebiusMap NotACocycleError NotAComplexError
+    NovikovCochain OrientedFactor OrientedFactorization RankTable SpinStructure
+    UndersampledLoopError WeightVector b_map boundary_fibre_signs brane_configs
+    brane_scan brane_scan_cells cohomology_ranks delta2 dimension_deficit
+    disc_boundary_maslov disc_eval disc_make discs evaluate_cell
+    evaluation_orientation_sign exterior fibre_product_sign floer
+    floer_ranks_bruteforce floer_ranks_closedform full_differential gluing_sign
+    homotopy_class index_sets insert_sign koszul_complex koszul_rescale_check
+    loop_maslov maslov maslov_index moduli_dim oracle permute_sign psl2_act rank
+    root_of_unity scalar_is_zero scalars signs simplex_coboundary solve_cocycle
+    solve_disc_through_point spin_configs spin_scan squarezero_chain
+    standard_spin wedge_by_vector weights winding_number
+""".split()
+
+
+def test_public_names_still_resolve():
+    import cftorus
+
+    assert sorted(cftorus.__all__) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(cftorus))
+    for name in PUBLIC_NAMES:
+        assert getattr(cftorus, name) is not None, name
+    assert cftorus.disc_eval is cftorus.discs.disc_eval
+    assert cftorus.winding_number is cftorus.maslov.winding_number
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cftorus.no_such_name
 # golden corpus: sha256 of the json and csv stdout, and the stderr summary,
 # of each scan; serial and pooled runs must both reproduce them byte for byte
 SCAN_GOLDEN = {

@@ -1,5 +1,7 @@
+import cmath
 import copy
 import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -101,6 +103,36 @@ def test_holonomy_product_checked_at_the_callers_tolerance():
         HolonomyAssignment([one], off, angles=None, exact=False)
     assert HolonomyAssignment([one], off, angles=None, exact=False, tol=1e-6).h0 == off
 
+
+def test_from_values_sweep_returns_a_unit_product_or_refuses():
+    # seeded sweep over unit, near-unit and non-finite entries: each call
+    # gives an assignment whose h_0 * h_1 * .. * h_n is 1 within tol, or
+    # raises ValueError; no other exception escapes
+    rng = random.Random(5)
+    specials = [0, math.nan, math.inf, complex(math.inf, math.nan), 1e308]
+
+    def entry():
+        z = cmath.exp(2j * math.pi * rng.random())
+        kind = rng.random()
+        if kind < 0.5:
+            return z
+        if kind < 0.8:
+            return z * (1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -3))
+        return rng.choice(specials)
+
+    outcomes = {"accepted": 0, "refused": 0}
+    for _ in range(500):
+        tol = rng.choice((1e-9, 1e-6, 1e-4))
+        values = [entry() for _ in range(rng.randint(1, 4))]
+        try:
+            hol = HolonomyAssignment.from_values(values, tol)
+        except ValueError:
+            outcomes["refused"] += 1
+            continue
+        product = math.prod(map(complex, hol.with_h0()))
+        assert abs(product - 1) <= tol, values
+        outcomes["accepted"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 # -- weights -------------------------------------------------------------------
 
