@@ -1,3 +1,5 @@
+import cmath
+import hashlib
 import random
 from fractions import Fraction
 
@@ -234,3 +236,78 @@ def test_reduce_mod_p_refuses_hidden_zeros_and_p_denominators():
         reduce_mod_p([p])
     with pytest.raises(ValueError, match="divisible by p"):
         reduce_mod_p([Fraction(1, p)])
+
+
+
+# orders of the canonical-form pin: every order up to 80, plus larger ones
+# with many small prime factors, twice a prime (694) and up to the CLI's
+# holonomy cap (720)
+PIN_ORDERS = tuple(range(1, 81)) + (210, 360, 462, 665, 694, 713, 720)
+
+
+def _raw_vector(rng, length):
+    out = []
+    for _ in range(length):
+        r = rng.random()
+        if r < 0.5:
+            out.append(0)
+        elif r < 0.8:
+            out.append(rng.randint(-3, 3))
+        else:
+            out.append(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    return out
+
+
+CANONICAL_DIGEST = (
+    "7efc97307057fd1d0302a60e69e81ac4e53f28139c089cb0aa4b6e7993363494")
+
+
+@pytest.fixture(scope="module")
+def canonical_form_cases():
+    """(element, its value computed with cmath, error scale) triples.
+
+    Seeded raw vectors of lengths up to 3m, products and differences of
+    roots of unity (the second of an order dividing m, so it is promoted
+    into Q(zeta_m)) and, for m <= 40, inverses.  The error scale is
+    1 + the sum of |coefficients| the value was computed from.
+    """
+    rng = random.Random(2003)
+    cases = []
+    for m in PIN_ORDERS:
+        angle = 2j * cmath.pi / m
+        for length in (3 * m, rng.randint(1, 3 * m)):
+            raw = _raw_vector(rng, length)
+            value = sum(float(c) * cmath.exp(angle * k)
+                        for k, c in enumerate(raw) if c)
+            cases.append((Cyclotomic(m, raw), value,
+                          1 + sum(abs(float(c)) for c in raw)))
+        d = rng.choice([q for q in range(1, m + 1) if m % q == 0])
+        a, b = rng.randrange(m), rng.randrange(d)
+        x, y = root_of_unity(a, m), root_of_unity(b, d)
+        ex, ey = cmath.exp(angle * a), cmath.exp(2j * cmath.pi * b / d)
+        cases.append((x * y, ex * ey, 2))
+        cases.append((x - y, ex - ey, 3))
+        if m <= 40:
+            s = Fraction(rng.choice((2, 4, 5)), 3)  # |x| != s|y|, so nonzero
+            inv = (x - s * y).inverse()
+            cases.append((inv, 1 / (ex - float(s) * ey),
+                          1 + sum(abs(float(c)) for c in inv.coeffs)))
+    return cases
+
+
+def test_canonical_forms_are_pinned(canonical_form_cases):
+    # the remainder mod Phi_m is unique, so any correct reduction gives
+    # these exact vectors; the digest was taken from the table-based one
+    digest = hashlib.sha256()
+    for x, _, _ in canonical_form_cases:
+        digest.update(("%d:%s\n" % (x.order, ",".join(map(str, x.coeffs))))
+                      .encode())
+    assert digest.hexdigest() == CANONICAL_DIGEST
+
+
+def test_canonical_forms_match_numeric_values(canonical_form_cases):
+    for x, value, scale in canonical_form_cases:
+        phi_deg = len(cyclotomic_polynomial(x.order)) - 1
+        assert len(x.coeffs) == x.order
+        assert not any(x.coeffs[phi_deg:])
+        assert abs(x.to_complex() - value) <= 1e-9 * scale, (x.order, value)
