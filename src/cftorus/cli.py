@@ -35,8 +35,8 @@ from .scalars import DEFAULT_TOL
 
 SPIN_SCAN_MAX_N = 12
 BRANE_SCAN_MAX_N = 6
-#: largest lcm of exact --holonomy denominators; the Q(zeta_m) tables the
-#: exact backend builds grow about as its square (README gives the timing)
+#: largest lcm of exact --holonomy denominators; exact products in Q(zeta_m)
+#: cost about m^2 rational operations (README gives the timing)
 HOLONOMY_LCM_MAX = 720
 
 #: command -> (largest n, cell count formula, config generator, summary noun)
@@ -82,6 +82,9 @@ def parse_spin(text: str, n: int) -> SpinStructure:
     return SpinStructure.from_subset([index(t) for t in tokens], n)
 
 
+_NOT_AN_ENTRY = "holonomy entry %r is not p/q, re,im or a real number"
+
+
 def parse_holonomy(text: Optional[str], n: int, tol: float,
                    backend: Optional[str] = None):
     """Entries "p/q" (exact fraction of a turn) or "re,im" (approximate).
@@ -124,9 +127,14 @@ def parse_holonomy(text: Optional[str], n: int, tol: float,
             except ZeroDivisionError:
                 raise ValueError("holonomy entry %r has a zero denominator"
                                  % entry) from None
+            except ValueError:
+                raise ValueError(_NOT_AN_ENTRY % entry) from None
             values.append(None)
         else:
-            as_float = float(entry)
+            try:
+                as_float = float(entry)
+            except ValueError:
+                raise ValueError(_NOT_AN_ENTRY % entry) from None
             if as_float in (1.0, -1.0):
                 angles.append(Fraction(0) if as_float == 1.0 else Fraction(1, 2))
                 values.append(None)

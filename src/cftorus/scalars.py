@@ -37,6 +37,23 @@ from typing import Iterable
 DEFAULT_TOL = 1e-9
 
 
+def _divide_monic(num: list, divisor) -> list:
+    """Divide ``num`` in place by a monic polynomial; return the quotient.
+
+    Both are ascending coefficient lists.  The remainder is left in ``num``,
+    below the divisor's degree, with zeros above it.
+    """
+    deg = len(divisor) - 1
+    quot = [0] * (len(num) - deg)
+    for shift in reversed(range(len(quot))):
+        coeff = quot[shift] = num[shift + deg]
+        if coeff:
+            for i, c in enumerate(divisor):
+                if c:
+                    num[shift + i] -= coeff * c
+    return quot
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Ascending integer coefficients of the m-th cyclotomic polynomial."""
@@ -45,52 +62,12 @@ def cyclotomic_polynomial(m: int) -> tuple:
     num = [-1] + [0] * (m - 1) + [1]  # z^m - 1
     for d in range(1, m):
         if m % d == 0:
-            # long division by the monic integer Phi_d stays in Z
-            phi = cyclotomic_polynomial(d)
-            deg = len(phi) - 1
-            quot = [0] * (len(num) - deg)
-            for shift in reversed(range(len(quot))):
-                coeff = quot[shift] = num[shift + deg]
-                for i, c in enumerate(phi):
-                    num[shift + i] -= coeff * c
+            # dividing by the monic integer Phi_d stays in Z
+            quot = _divide_monic(num, cyclotomic_polynomial(d))
             if any(num):
                 raise AssertionError("cyclotomic division left a remainder")
             num = quot
     return tuple(num)
-
-
-@lru_cache(maxsize=None)
-def _reduction_table(m: int) -> tuple:
-    """z^k mod Phi_m for deg(Phi_m) <= k < 2m, as degree-<deg tuples."""
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    rows = {}
-    # z^deg = -(phi minus leading term), then multiply up by z repeatedly
-    cur = [Fraction(-c) for c in phi[:-1]]
-    for k in range(deg, 2 * m):
-        rows[k] = tuple(cur)
-        cur = [Fraction(0)] + cur
-        top = cur.pop()
-        if top:
-            for i, c in enumerate(phi[:-1]):
-                cur[i] -= top * c
-    return tuple(rows[k] for k in range(deg, 2 * m))
-
-
-def _reduce_mod_phi(coeffs, m):
-    """Reduce an ascending list (degree < 2m) to canonical degree < phi(m)."""
-    phi_deg = len(cyclotomic_polynomial(m)) - 1
-    table = _reduction_table(m)
-    out = [Fraction(c) for c in coeffs[:phi_deg]]
-    out.extend([Fraction(0)] * (phi_deg - len(out)))
-    for k in range(phi_deg, len(coeffs)):
-        ck = coeffs[k]
-        if ck == 0:
-            continue
-        row = table[k - phi_deg]
-        for i, r in enumerate(row):
-            out[i] += ck * r
-    return out
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -110,14 +87,21 @@ class Cyclotomic:
     def __init__(self, order: int, coeffs: Iterable):
         if order < 1:
             raise ValueError("order must be a positive integer, got %r" % (order,))
-        folded = [Fraction(0)] * order
+        # fold by zeta^m = 1 and, for even m, by zeta^(m/2) = -1, so the
+        # division by Phi_m (degree at most m/2 for even m) starts short
+        fold = order // 2 if order % 2 == 0 else order
+        folded = [Fraction(0)] * fold
         for k, c in enumerate(coeffs):
             if c:
-                folded[k % order] += Fraction(c)
-        reduced = _reduce_mod_phi(folded, order)
-        reduced.extend([Fraction(0)] * (order - len(reduced)))
+                k %= order
+                if k < fold:
+                    folded[k] += Fraction(c)
+                else:
+                    folded[k - fold] -= Fraction(c)
+        _divide_monic(folded, cyclotomic_polynomial(order))
+        folded.extend([Fraction(0)] * (order - fold))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(reduced))
+        object.__setattr__(self, "coeffs", tuple(folded))
 
     # -- constructors -----------------------------------------------------
 

@@ -1,14 +1,21 @@
 import hashlib
 import json
+import os
 import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from cftorus import cli
+from cftorus import cli, scalars
 from cftorus.cli import main, parse_holonomy, parse_spin
+
+
+# child interpreters import the same cftorus, with or without PYTHONPATH
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(capsys, argv):
@@ -153,6 +160,12 @@ def test_scan_guards(capsys, monkeypatch):
     (["hf", "--n", "2", "--spin", "0.5"], "--spin entry '0.5'"),
     (["hf", "--n", "2", "--spin", "5"], "--spin entry '5'"),
     (["hf", "--n", "2", "--holonomy", "1/2012,1/21"], "--holonomy"),
+    (["hf", "--n", "1", "--holonomy", "a"],
+     "holonomy entry 'a' is not p/q, re,im or a real number"),
+    (["hf", "--n", "1", "--holonomy", "1/x"],
+     "holonomy entry '1/x' is not p/q, re,im or a real number"),
+    (["hf", "--n", "1", "--holonomy", "1/-3"],
+     "holonomy entry '1/-3' is not p/q, re,im or a real number"),
 ])
 def test_bad_inputs_exit_2_naming_them(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
@@ -180,6 +193,24 @@ def test_holonomy_lcm_cap(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["hf", "--n", "2", "--backend", "approx",
                                     "--holonomy", "1/721,0/1"])
     assert code == 0 and json.loads(out)["backend"] == "approx"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "7", "--holonomy", "1/5,1/7,1/19,1/35,1/95,1/133,1/665"],
+    ["--n", "6", "--holonomy", "1/23,1/31,1/713,2/713,3/713,4/713"],
+    ["--n", "3", "--spin", "{1}", "--holonomy", "1/694,2/694,693/694"],
+    ["--n", "3", "--spin", "{1}", "--holonomy", "1/718,2/718,717/718"],
+])
+def test_holonomy_queries_below_the_cap_finish_within_1s(capsys, argv):
+    # the README's budget for accepted --holonomy queries, timed cold:
+    # Phi_m and the prime field for the lcm are built inside the clock
+    scalars.cyclotomic_polynomial.cache_clear()
+    scalars.prime_field.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, ["hf"] + argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and json.loads(out)["backend"] == "exact"
+    assert elapsed < 1.0, elapsed
 
 
 # pieces the spin and holonomy parsers split on or treat specially
@@ -239,8 +270,10 @@ def test_maslov_check_passes(capsys):
 def test_maslov_check_deterministic_bytes():
     cmd = [sys.executable, "-m", "cftorus", "maslov-check",
            "--count", "15", "--seed", "9"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True,
+                           env=CHILD_ENV)
+    second = subprocess.run(cmd, capture_output=True, check=True,
+                           env=CHILD_ENV)
     assert first.stdout == second.stdout
 
 
@@ -263,7 +296,8 @@ print(json.dumps(loaded))
 
 def numpy_loaded_after(*commands):
     done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True,
+                          env=CHILD_ENV)
     return json.loads(done.stdout)
 
 
@@ -447,9 +481,10 @@ def test_maslov_check_golden(capsys, seed):
 def test_scan_jobs_flag_keeps_output_order():
     # the same bytes through the console entry point, serial and pooled
     cmd = [sys.executable, "-m", "cftorus", "spin-scan", "3"]
-    serial = subprocess.run(cmd, capture_output=True, check=True)
+    serial = subprocess.run(cmd, capture_output=True, check=True,
+                           env=CHILD_ENV)
     parallel = subprocess.run(cmd + ["--jobs", "2"], capture_output=True,
-                              check=True)
+                              check=True, env=CHILD_ENV)
     assert serial.stdout == parallel.stdout
     assert hashlib.sha256(serial.stdout).hexdigest() == SCAN_GOLDEN["spin-scan", 3][0]
 
