@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
@@ -215,6 +214,8 @@ def cmd_scan(command: str, n: int, tol: float, fmt: str, jobs: int) -> int:
     worker = partial(_cell_record, tol=tol)
     jobs = min(jobs, os.cpu_count() or 1)
     hits = cells = 0
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip it
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         records = (pool.map(worker, configs(n), chunksize=8) if pool
                    else map(worker, configs(n)))

@@ -193,20 +193,20 @@ def matrix_scale(scalar, matrix):
 
 
 def matmul(a, b):
+    """a·b by combining rows of b over nonzero terms; an untouched entry is int 0."""
     if not a or not b:
         return []
-    inner = len(b)
+    b_rows = [[(col, y) for col, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        if len(row) != inner:
+        if len(row) != len(b):
             raise ValueError("shape mismatch in matrix product")
-        out_row = []
-        for col in range(len(b[0])):
-            acc = 0
-            for i in range(inner):
-                acc = acc + row[i] * b[i][col]
-            out_row.append(acc)
-        out.append(out_row)
+        acc = [0] * len(b[0])
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for col, y in b_row:
+                    acc[col] += x * y
+        out.append(acc)
     return out
 
 

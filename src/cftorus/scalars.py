@@ -182,11 +182,10 @@ class Cyclotomic:
             return self._approx(other, operator.mul)
         m = a.order
         out = [Fraction(0)] * m
+        b_terms = [(j, bj) for j, bj in enumerate(b.coeffs) if bj]
         for i, ai in enumerate(a.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(b.coeffs):
-                if bj:
+            if ai:
+                for j, bj in b_terms:
                     out[(i + j) % m] += ai * bj
         return Cyclotomic(m, out)
 

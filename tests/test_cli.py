@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -213,6 +214,24 @@ def test_holonomy_queries_below_the_cap_finish_within_1s(capsys, argv):
     assert elapsed < 1.0, elapsed
 
 
+#: unit holonomies none of which is 1, so every weight v_j is nonzero
+APPROX_12 = ("0.6,0.8;0.8,0.6;-0.6,0.8;0.6,-0.8;-0.8,-0.6;0,1;0,-1;-1,0;"
+             "0.28,0.96;0.96,0.28;-0.28,0.96;0.96,-0.28")
+
+
+def test_hf_largest_n_finishes_within_budget(capsys):
+    # the README's budget for the largest accepted hf, on both backends
+    for argv, backend in ((["--spin", "{1}"], "exact"),
+                          (["--holonomy", APPROX_12], "approx")):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, ["hf", "--n", "12"] + argv)
+        elapsed = time.perf_counter() - start
+        record = json.loads(out)
+        assert code == 0 and record["backend"] == backend
+        assert record["nonvanishing"] is False
+        assert elapsed < 20.0, (argv, elapsed)
+
+
 # pieces the spin and holonomy parsers split on or treat specially
 SWEEP_PIECES = ("1", "-1", "0", "2", "/", ",", ";", "{", "}", "nan", "inf",
                 "1e400", "0.6", "a")
@@ -278,24 +297,26 @@ def test_maslov_check_deterministic_bytes():
 
 
 # a fresh interpreter imports cftorus, then cftorus.cli, then runs each
-# command in turn, and reports after each step whether numpy is loaded
-NUMPY_PROBE = """
+# command in turn, and reports after each step whether a module is loaded
+LOADED_PROBE = """
 import contextlib, io, json, sys
+module = sys.argv[1]
 import cftorus
-loaded = ["numpy" in sys.modules]
+loaded = [module in sys.modules]
 from cftorus import cli
-loaded.append("numpy" in sys.modules)
+loaded.append(module in sys.modules)
 sink = io.StringIO()
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         assert cli.main(argv) == 0, argv
-    loaded.append("numpy" in sys.modules)
+    loaded.append(module in sys.modules)
 print(json.dumps(loaded))
 """
 
 
-def numpy_loaded_after(*commands):
-    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+def loaded_after(module, *commands):
+    done = subprocess.run([sys.executable, "-c", LOADED_PROBE, module,
+                           json.dumps(commands)],
                           capture_output=True, text=True, check=True,
                           env=CHILD_ENV)
     return json.loads(done.stdout)
@@ -305,8 +326,10 @@ def test_exact_commands_never_import_numpy():
     exact = [["hf", "--n", "3", "--spin", "{2}", "--holonomy", "1/3,1/3,1/3"],
              ["spin-scan", "3"], ["brane-scan", "2"]]
     approx = ["hf", "--n", "2", "--holonomy", "0.6,0.8;0.6,-0.8"]
-    assert numpy_loaded_after(*exact, approx) == [False] * 5 + [True]
-    assert numpy_loaded_after(["maslov-check", "--count", "1"]) == [False, False, True]
+    assert loaded_after("numpy", *exact, approx) == [False] * 5 + [True]
+    assert loaded_after("numpy", ["maslov-check", "--count", "1"]) == [False, False, True]
+    # serial commands never load the process pool either
+    assert loaded_after("concurrent.futures.process", *exact) == [False] * 5
 
 
 #: every public name of the cftorus package, as exported when all of its
@@ -506,7 +529,7 @@ def test_scan_jobs_clamped_to_cpu_count(capsys, monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     code, out, err = run_cli(capsys, ["spin-scan", "3", "--jobs", "64"])
     assert code == 0 and seen == [3]

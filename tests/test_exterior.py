@@ -20,7 +20,7 @@ from cftorus.exterior import (
     rank,
     wedge_by_vector,
 )
-from cftorus.scalars import ApproxComplex, root_of_unity
+from cftorus.scalars import ApproxComplex, reduce_mod_p, root_of_unity
 
 
 def test_insert_sign_square_vanishes():
@@ -80,6 +80,70 @@ def test_wedge_composites_vanish_for_random_vectors(n):
             assert matrix_is_zero(product)
 
 
+def reference_matmul(a, b):
+    # the textbook triple sum over every term, zeros included, left to right
+    out = []
+    for row in a:
+        out.append([])
+        for col in range(len(b[0])):
+            acc = 0
+            for i in range(len(b)):
+                acc = acc + row[i] * b[i][col]
+            out[-1].append(acc)
+    return out
+
+
+def zeta_entry(order):
+    # a nonzero element of Q(zeta_order): a root of unity, or 1 minus another one
+    def draw(rng):
+        if rng.random() < 0.5:
+            return 1 - root_of_unity(rng.randint(1, order - 1), order)
+        return root_of_unity(rng.randint(0, order - 1), order)
+    return draw, root_of_unity(0, order) - 1
+
+
+# a draw of a nonzero entry of each kind, and the kind's own zero; zeros
+# are drawn as int 0 or that zero
+MATMUL_KINDS = {
+    "int": (lambda rng: rng.choice([-3, -2, -1, 1, 2, 5]), 0),
+    "fraction": (lambda rng: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)),
+                 Fraction(0)),
+    "zeta5": zeta_entry(5),
+    "zeta12": zeta_entry(12),
+    "complex": (lambda rng: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), 0j),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MATMUL_KINDS))
+def test_matmul_equals_the_triple_sum(kind):
+    nonzero, zero = MATMUL_KINDS[kind]
+    rng = random.Random("matmul-" + kind)
+
+    def draw(rows, cols, density):
+        return [[nonzero(rng) if rng.random() < density
+                 else rng.choice([0, zero]) for _ in range(cols)]
+                for _ in range(rows)]
+
+    shapes = [(1, 1, 1), (1, 6, 1), (6, 1, 6), (1, 5, 4), (4, 5, 1), (3, 1, 1)]
+    shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(24)]
+    for rows, inner, cols in shapes:
+        for density in (0.0, 0.2, 0.5, 0.8, 1.0):
+            a, b = draw(rows, inner, density), draw(inner, cols, density)
+            product = matmul(a, b)
+            assert product == reference_matmul(a, b)
+            assert [len(row) for row in product] == [cols] * rows
+
+
+def test_matmul_refuses_shape_mismatch_and_takes_empty_operands():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        matmul([[1, 2]], [[1, 2]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        matmul([[1, 2], [3]], [[1], [2]])
+    assert matmul([], [[1, 2]]) == []
+    assert matmul([[1, 2]], []) == []
+    assert matmul([[1, 2]], [[], []]) == [[]]
+
+
 def test_rank_of_zero_and_identity():
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank([[1 if i == j else 0 for j in range(4)] for i in range(4)]) == 4
@@ -124,6 +188,45 @@ def test_not_a_complex_is_rejected():
     bad = GradedMatrixComplex(2, ([[1], [0]], [[1, 0]]))
     with pytest.raises(NotAComplexError):
         cohomology_ranks(bad)
+
+
+def flip_one_entry(cx, k, rng):
+    # the family with one nonzero entry of D_k negated
+    matrices = [[list(row) for row in m] for m in cx.matrices]
+    spots = [(r, c) for r, row in enumerate(matrices[k])
+             for c, x in enumerate(row) if x]
+    r, c = rng.choice(spots)
+    entry = -matrices[k][r][c]
+    matrices[k][r][c] = entry % cx.modulus if cx.modulus else entry
+    return GradedMatrixComplex(cx.n, tuple(matrices), cx.modulus)
+
+
+def nonzero_weights(n, rng):
+    # v_j = eps_j zeta_5^a - 1 with a != 0 or eps = -1, so no v_j vanishes
+    return [rng.choice([1, -1]) * root_of_unity(rng.randint(1, 4), 5) - 1
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_square_zero_check_refuses_one_flipped_sign_over_f_p(n):
+    rng = random.Random(900 + n)
+    p, v = reduce_mod_p(nonzero_weights(n, rng))
+    assert all(v)
+    cx = koszul_complex(n, v, p)
+    assert cohomology_ranks(cx) == [0] * (n + 1)
+    for k in range(n):
+        with pytest.raises(NotAComplexError):
+            cohomology_ranks(flip_one_entry(cx, k, rng))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_square_zero_check_refuses_one_flipped_sign_over_q_zeta5(n):
+    rng = random.Random(950 + n)
+    cx = koszul_complex(n, nonzero_weights(n, rng))
+    assert cohomology_ranks(cx) == [0] * (n + 1)
+    for k in range(n):
+        with pytest.raises(NotAComplexError):
+            cohomology_ranks(flip_one_entry(cx, k, rng))
 
 
 def test_modulus_reads_entries_in_the_prime_field():
