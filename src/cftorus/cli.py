@@ -35,7 +35,7 @@ from .scalars import DEFAULT_TOL
 SPIN_SCAN_MAX_N = 12
 BRANE_SCAN_MAX_N = 6
 #: largest lcm of exact --holonomy denominators; exact products in Q(zeta_m)
-#: cost about m^2 rational operations (README gives the timing)
+#: cost up to m^2 rational operations (README gives the timing)
 HOLONOMY_LCM_MAX = 720
 
 #: command -> (largest n, cell count formula, config generator, summary noun)

@@ -129,9 +129,7 @@ def test_matmul_equals_the_triple_sum(kind):
     for rows, inner, cols in shapes:
         for density in (0.0, 0.2, 0.5, 0.8, 1.0):
             a, b = draw(rows, inner, density), draw(inner, cols, density)
-            product = matmul(a, b)
-            assert product == reference_matmul(a, b)
-            assert [len(row) for row in product] == [cols] * rows
+            assert matmul(a, b) == reference_matmul(a, b)
 
 
 def test_matmul_refuses_shape_mismatch_and_takes_empty_operands():
@@ -201,28 +199,18 @@ def flip_one_entry(cx, k, rng):
     return GradedMatrixComplex(cx.n, tuple(matrices), cx.modulus)
 
 
-def nonzero_weights(n, rng):
-    # v_j = eps_j zeta_5^a - 1 with a != 0 or eps = -1, so no v_j vanishes
-    return [rng.choice([1, -1]) * root_of_unity(rng.randint(1, 4), 5) - 1
-            for _ in range(n)]
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_square_zero_check_refuses_one_flipped_sign_over_f_p(n):
-    rng = random.Random(900 + n)
-    p, v = reduce_mod_p(nonzero_weights(n, rng))
-    assert all(v)
+@pytest.mark.parametrize("n, field", [(n, "F_p") for n in range(2, 9)]
+                         + [(n, "Q(zeta_5)") for n in range(2, 6)])
+def test_square_zero_check_refuses_one_flipped_sign(n, field):
+    rng = random.Random("%s-%d" % (field, n))
+    # v_j = +-zeta_5^a - 1 with a in 1..4 is never 0: -1 is no fifth root of 1
+    v = [rng.choice([1, -1]) * root_of_unity(rng.randint(1, 4), 5) - 1
+         for _ in range(n)]
+    p = None
+    if field == "F_p":
+        p, v = reduce_mod_p(v)
+        assert all(v)
     cx = koszul_complex(n, v, p)
-    assert cohomology_ranks(cx) == [0] * (n + 1)
-    for k in range(n):
-        with pytest.raises(NotAComplexError):
-            cohomology_ranks(flip_one_entry(cx, k, rng))
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_square_zero_check_refuses_one_flipped_sign_over_q_zeta5(n):
-    rng = random.Random(950 + n)
-    cx = koszul_complex(n, nonzero_weights(n, rng))
     assert cohomology_ranks(cx) == [0] * (n + 1)
     for k in range(n):
         with pytest.raises(NotAComplexError):
