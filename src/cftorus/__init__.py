@@ -11,9 +11,12 @@ Library layout:
 * :mod:`cftorus.oracle`   -- simplicial-cochain brute-force cross-checks
 * :mod:`cftorus.cli`      -- the ``cftorus`` command
 
-Only :mod:`cftorus.discs` and :mod:`cftorus.maslov` (and SVD rank) need
-numpy.  Their names are imported on first access, so exact computations
-never load it.
+Only SVD rank, the numpy frame-stack API of :mod:`cftorus.maslov`
+(``LagrangianFrame``, ``FrameLoop``, ``b_map``, ``loop_maslov``) and
+``discs.disc_eval_boundary`` need numpy, and each imports it where it
+runs: exact computations and the disc path of ``maslov-check`` never
+load it.  The names of :mod:`cftorus.discs` and :mod:`cftorus.maslov`
+are imported on first access.
 """
 
 from importlib import import_module as _import_module

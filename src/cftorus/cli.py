@@ -228,15 +228,19 @@ def cmd_scan(command: str, n: int, tol: float, fmt: str, jobs: int) -> int:
 
 
 def cmd_maslov_check(count: int, seed: int, tol: float) -> int:
-    from . import discs, maslov  # numpy loads here, not at start-up
+    from . import discs, maslov
 
     rng = random.Random(seed)
     mismatches = []
-    for _ in range(count):
+    for position in range(1, count + 1):
         n = rng.randint(1, 4)
         d = discs.random_disc(rng, n, max_degree=4, chart0=True, tol=tol)
         combinatorial = discs.maslov_index(d)
-        numeric = maslov.disc_boundary_maslov(d, tol)
+        try:
+            numeric = maslov.disc_boundary_maslov(d, tol)
+        except ValueError as exc:
+            raise ValueError("disc %d of %d (n=%d, --seed %d, --tol %g): %s"
+                             % (position, count, n, seed, tol, exc)) from exc
         if numeric != combinatorial:
             mismatches.append({
                 "disc": discs.disc_to_json_dict(d),

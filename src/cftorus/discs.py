@@ -18,9 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from .floer import HomotopyClass
 from .scalars import DEFAULT_TOL
@@ -79,8 +77,9 @@ class BlaschkeFactor:
     def eval(self, z: complex) -> complex:
         return (z - self.alpha) / (1.0 - self.alpha.conjugate() * z)
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        return (z - self.alpha) / (1.0 - np.conj(self.alpha) * z)
+    def eval_many(self, z: Sequence[complex]) -> List[complex]:
+        alpha, conj = self.alpha, self.alpha.conjugate()
+        return [(x - alpha) / (1.0 - conj * x) for x in z]
 
     def same_zero(self, other: "BlaschkeFactor", tol: float) -> bool:
         if self.exact is not None and other.exact is not None:
@@ -113,10 +112,10 @@ class BlaschkeComponent:
             out *= f.eval(z)
         return out
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        out = np.full(z.shape, cmath.exp(1j * self.theta), dtype=complex)
+    def eval_many(self, z: Sequence[complex]) -> List[complex]:
+        out = [cmath.exp(1j * self.theta)] * len(z)
         for f in self.factors:
-            out *= f.eval_many(z)
+            out = [o * v for o, v in zip(out, f.eval_many(z))]
         return out
 
 
@@ -169,10 +168,13 @@ def disc_eval(d: BlaschkeDisc, z: complex) -> Tuple[complex, ...]:
     return tuple(c.eval(z) for c in d.components)
 
 
-def disc_eval_boundary(d: BlaschkeDisc, num: int) -> np.ndarray:
-    """(n+1) x num array of coordinate values at num equispaced boundary points."""
+def disc_eval_boundary(d: BlaschkeDisc, num: int):
+    """(n+1) x num numpy array of coordinate values at num equispaced
+    boundary points."""
+    import numpy as np  # loaded here only: the disc path itself runs in cmath
+
     z = np.exp(2j * np.pi * np.arange(num) / num)
-    return np.vstack([c.eval_many(z) for c in d.components])
+    return np.array([c.eval_many(z) for c in d.components], dtype=complex)
 
 
 def maslov_index(d: BlaschkeDisc) -> int:

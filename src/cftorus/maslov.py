@@ -9,10 +9,15 @@ of the disc -- the independent numeric check of the combinatorial index.
 
 Degrees are accumulated from principal argument steps, so sampling must
 keep consecutive steps below pi; the samplers double their resolution
-until both the step bound and the integer-rounding residue hold.  The
-samples of a loop are checked and wound as one (N, n, n) stack: frame
-unitarity, the plane invariants and det(D) each run once per stack and
-cover every sample.
+until both the step bound and the integer-rounding residue hold.
+
+General frame loops are checked and wound as one numpy (N, n, n) stack:
+frame unitarity, the plane invariants and det(D) each run once per stack
+and cover every sample.  The disc sampler's frames are diagonal, so it
+runs the same checks entry by entry in builtin complex arithmetic and
+never loads numpy: off the diagonal every product is an exact zero, so
+the largest defect is the one the stack check would find, and D = D^T
+holds exactly.
 
 A disc that does meet the zeroth hyperplane reduces to the chart case by
 hand, not by an operation here: multiplying the zeroth coordinate by
@@ -24,14 +29,16 @@ additivity makes the bookkeeping come out the same.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
-import numpy as np
-
-from .discs import BlaschkeDisc, disc_eval_boundary
+from .discs import BlaschkeDisc
 from .scalars import DEFAULT_TOL
+
+if TYPE_CHECKING:  # numpy is imported where the frame-stack code runs
+    import numpy as np
 
 DEFAULT_SAMPLES = 256
 MAX_SAMPLES = 1 << 14
@@ -50,19 +57,27 @@ class ChartError(ValueError):
     """Disc meets the hyperplane of the chart used for the frame loop."""
 
 
+_UNITARY_MESSAGE = "frame is not unitary (defect %.3g)"
+_PLANE_MESSAGE = "plane invariant failed D conj(D) = Id"
+
+
 def _check_unitary(a: np.ndarray, tol: float) -> None:
     """Refuse a matrix, or an (N, n, n) stack, that is not unitary."""
+    import numpy as np
+
     defect = np.max(np.abs(a @ np.swapaxes(a.conj(), -1, -2) - np.eye(a.shape[-1])))
     if defect > max(tol, 1e-7):
-        raise FrameError("frame is not unitary (defect %.3g)" % defect)
+        raise FrameError(_UNITARY_MESSAGE % defect)
 
 
 def _plane_invariants(a: np.ndarray, tol: float) -> np.ndarray:
     """D = A A^T of a matrix, or of each matrix of a stack, checked
     symmetric with D conj(D) = Id."""
+    import numpy as np
+
     d = a @ np.swapaxes(a, -1, -2)
     if np.max(np.abs(d @ d.conj() - np.eye(a.shape[-1]))) > max(tol, 1e-7):
-        raise FrameError("plane invariant failed D conj(D) = Id")
+        raise FrameError(_PLANE_MESSAGE)
     if np.max(np.abs(d - np.swapaxes(d, -1, -2))) > max(tol, 1e-7):
         raise FrameError("plane invariant failed D = D^T")
     return d
@@ -76,6 +91,8 @@ class LagrangianFrame:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        import numpy as np
+
         a = np.asarray(self.matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise FrameError("frame must be a square matrix")
@@ -88,6 +105,8 @@ class LagrangianFrame:
 
 
 def diag_phase_frame(phases: Sequence[float]) -> LagrangianFrame:
+    import numpy as np
+
     return LagrangianFrame(np.diag(np.exp(1j * np.asarray(phases, dtype=float))))
 
 
@@ -117,18 +136,17 @@ def winding_number(samples, tol: float = DEFAULT_TOL,
     Near-zero samples and argument steps >= step_limit are rejected, as
     is a total that rounds with residue >= residue_limit.
     """
-    z = np.asarray(list(samples), dtype=complex)
-    if z.size < 2:
+    z = [complex(x) for x in samples]
+    if len(z) < 2:
         raise ValueError("need at least two samples")
-    mods = np.abs(z)
-    if np.min(mods) < tol:
+    if min(map(abs, z)) < tol:
         raise ValueError("curve sample within %g of zero" % tol)
-    steps = np.angle(np.roll(z, -1) / z)
-    worst = float(np.max(np.abs(steps)))
+    steps = [cmath.phase(b / a) for a, b in zip(z, z[1:] + z[:1])]
+    worst = max(map(abs, steps))
     if worst >= step_limit:
         raise UndersampledLoopError(
             "argument step %.3f exceeds limit %.3f" % (worst, step_limit))
-    total = float(np.sum(steps))
+    total = sum(steps)
     winding = total / (2.0 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) >= residue_limit:
@@ -140,12 +158,42 @@ def winding_number(samples, tol: float = DEFAULT_TOL,
 def _stack_maslov(a: np.ndarray, tol: float, step_limit: float) -> int:
     """Degree of det of the plane invariant along an (N, n, n) stack of
     unitary frames sampled around a loop."""
+    import numpy as np
+
     return winding_number(np.linalg.det(_plane_invariants(a, tol)), tol, step_limit)
+
+
+def _diagonal_maslov(entries: Sequence[Sequence[complex]], tol: float,
+                     step_limit: float) -> int:
+    """`_stack_maslov` of diagonal frames given by their diagonal entries,
+    one row per sample, after the unitarity check at the bound a
+    `LagrangianFrame` applies; same checks, same messages, no numpy."""
+    unitary = plane = 0.0
+    dets = []
+    for row in entries:
+        det = 1.0
+        for e in row:
+            defect = abs(e * e.conjugate() - 1.0)
+            if defect > unitary:
+                unitary = defect
+            d = e * e
+            defect = abs(d * d.conjugate() - 1.0)
+            if defect > plane:
+                plane = defect
+            det *= d
+        dets.append(det)
+    if unitary > max(DEFAULT_TOL, 1e-7):
+        raise FrameError(_UNITARY_MESSAGE % unitary)
+    if plane > max(tol, 1e-7):
+        raise FrameError(_PLANE_MESSAGE)
+    return winding_number(dets, tol, step_limit)
 
 
 def loop_maslov(loop: FrameLoop, tol: float = DEFAULT_TOL,
                 step_limit: float = math.pi) -> int:
     """Degree of det of the plane invariant along the loop."""
+    import numpy as np
+
     return _stack_maslov(np.stack([f.matrix for f in loop.frames]), tol, step_limit)
 
 
@@ -154,24 +202,22 @@ def disc_boundary_maslov(d: BlaschkeDisc, tol: float = DEFAULT_TOL,
                          max_samples: int = MAX_SAMPLES) -> int:
     """Numeric index of the boundary torus loop of a disc missing the
     zeroth hyperplane; equals twice the total winding of the coordinate
-    ratios, read through the frame-loop machinery: the diagonal-phase
-    frames of all samples form one stack, checked unitary at the bound a
-    `LagrangianFrame` applies.
+    ratios, read through the frame-loop checks: the diagonal-phase frames
+    of all samples are checked unitary at the bound a `LagrangianFrame`
+    applies, then wound as `_stack_maslov` would wind them.
     """
     if d.mu[0] != 0:
         raise ChartError("disc meets the zeroth hyperplane (mu_0 = %d)" % d.mu[0])
     num = samples
     while True:
-        vals = disc_eval_boundary(d, num)
-        phases = np.angle((vals[1:] / vals[0]).T)
-        frames = np.zeros(phases.shape + phases.shape[-1:], dtype=complex)
-        diag = np.arange(phases.shape[-1])
-        frames[:, diag, diag] = np.exp(1j * phases)
-        _check_unitary(frames, DEFAULT_TOL)
+        z = [cmath.rect(1.0, 2.0 * math.pi * k / num) for k in range(num)]
+        values = [c.eval_many(z) for c in d.components]
+        entries = [[cmath.rect(1.0, cmath.phase(v / base)) for v in rest]
+                   for base, *rest in zip(*values)]
         try:
             # stricter step bound than the pi ambiguity threshold, so a
             # passing sample count is comfortably unambiguous
-            return _stack_maslov(frames, tol, step_limit=math.pi / 2)
+            return _diagonal_maslov(entries, tol, step_limit=math.pi / 2)
         except UndersampledLoopError:
             if num >= max_samples:
                 raise

@@ -1,6 +1,8 @@
+import cmath
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -167,12 +169,42 @@ def test_scan_guards(capsys, monkeypatch):
      "holonomy entry '1/x' is not p/q, re,im or a real number"),
     (["hf", "--n", "1", "--holonomy", "1/-3"],
      "holonomy entry '1/-3' is not p/q, re,im or a real number"),
+    (["maslov-check", "--count", "2", "--tol", "2"],
+     "disc 1 of 2 (n=4, --seed 0, --tol 2): curve sample within 2 of zero"),
 ])
 def test_bad_inputs_exit_2_naming_them(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
     assert named in err
+
+
+def equal_weight_holonomy(n, size):
+    """--holonomy with every h_j = e^(i theta), so that h_0 = e^(-i n theta)
+    and every weight v_j = h_j - h_0 has modulus `size`."""
+    h = cmath.exp(2j * math.asin(size / 2) / (n + 1))
+    return ";".join(["%r,%r" % (h.real, h.imag)] * n)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-4])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_hf_refuses_cells_inside_the_vanishing_band(capsys, n, tol):
+    # every |v_j| = 0.8 tol puts max|v_j| < tol < |v|_2: the closed form reads
+    # zero weights and the SVD route does not, so the cell is refused
+    def hf(size):
+        return run_cli(capsys, ["hf", "--n", str(n), "--tol", repr(tol),
+                                "--holonomy", equal_weight_holonomy(n, size)])
+
+    code, out, err = hf(0.8 * tol)
+    assert code == 2 and out == ""
+    assert "holonomy lies within tolerance of a vanishing transition" in err
+    # just below the band (|v|_2 = 0.9 tol) every weight reads zero, just
+    # above it (every |v_j| = 1.1 tol) none does, and both routes agree
+    for size, table in ((0.9 * tol / math.sqrt(n), [math.comb(n, k) for k in range(n + 1)]),
+                        (1.1 * tol, [0] * (n + 1))):
+        code, out, err = hf(size)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ranks_by_lambda_degree"] == table
 
 
 def test_holonomy_lcm_cap(capsys, monkeypatch):
@@ -327,7 +359,7 @@ def test_exact_commands_never_import_numpy():
              ["spin-scan", "3"], ["brane-scan", "2"]]
     approx = ["hf", "--n", "2", "--holonomy", "0.6,0.8;0.6,-0.8"]
     assert loaded_after("numpy", *exact, approx) == [False] * 5 + [True]
-    assert loaded_after("numpy", ["maslov-check", "--count", "1"]) == [False, False, True]
+    assert loaded_after("numpy", ["maslov-check", "--count", "1"]) == [False, False, False]
     # serial commands never load the process pool either
     assert loaded_after("concurrent.futures.process", *exact) == [False] * 5
 

@@ -14,6 +14,7 @@ from cftorus.discs import (
 )
 from cftorus.maslov import (
     MAX_SAMPLES,
+    RESIDUE_LIMIT,
     ChartError,
     FrameError,
     FrameLoop,
@@ -24,7 +25,11 @@ from cftorus.maslov import (
     disc_boundary_maslov,
     loop_maslov,
     winding_number,
+    _check_unitary,
+    _diagonal_maslov,
+    _stack_maslov,
 )
+from cftorus.scalars import DEFAULT_TOL
 
 
 def random_unitary(rng, n):
@@ -103,6 +108,74 @@ def test_winding_rejects_coarse_steps():
         winding_number(np.exp(6j * np.pi * t))
 
 
+def numpy_winding(samples, tol=DEFAULT_TOL, step_limit=math.pi,
+                  residue_limit=RESIDUE_LIMIT):
+    # reference: principal argument steps taken and summed as one array
+    z = np.asarray(list(samples), dtype=complex)
+    if z.size < 2:
+        raise ValueError("need at least two samples")
+    if np.min(np.abs(z)) < tol:
+        raise ValueError("curve sample within %g of zero" % tol)
+    steps = np.angle(np.roll(z, -1) / z)
+    worst = float(np.max(np.abs(steps)))
+    if worst >= step_limit:
+        raise UndersampledLoopError(
+            "argument step %.3f exceeds limit %.3f" % (worst, step_limit))
+    winding = float(np.sum(steps)) / (2.0 * math.pi)
+    nearest = round(winding)
+    if abs(winding - nearest) >= residue_limit:
+        raise UndersampledLoopError(
+            "winding %.6f has residue >= %.2f" % (winding, residue_limit))
+    return int(nearest)
+
+
+def outcome(fn, *args, **kwargs):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def curve(rng, steps, wobble=0.3):
+    """Samples whose consecutive arguments advance by `steps`, at moduli in
+    [1 - wobble, 1 + wobble]."""
+    out, angle = [], rng.uniform(-math.pi, math.pi)
+    for step in steps:
+        out.append(cmath.rect(1.0 + rng.uniform(-wobble, wobble), angle))
+        angle += step
+    return out
+
+
+def test_winding_number_matches_numpy_reference():
+    rng = random.Random(2024)
+    cases = [([], {}), ([1j], {})]
+    for num in (2, 3, 4, 5, 8, 31, 256, 1000, 4096):
+        for w in range(-5, 6):
+            # jittered steps summing to 2 pi w: coarse curves are refused or
+            # read wrongly, and the two must do so alike
+            jitter = [rng.gauss(0.0, 0.2 / math.sqrt(num)) for _ in range(num)]
+            mean = sum(jitter) / num
+            steps = [2 * math.pi * w / num + j - mean for j in jitter]
+            cases.append((curve(rng, steps), {}))
+        near = curve(rng, [2 * math.pi / num] * num)
+        near[rng.randrange(num)] *= DEFAULT_TOL / 2
+        cases.append((near, {}))
+        cases.append((near, {"tol": DEFAULT_TOL / 4}))
+    for limit in (math.pi / 2, math.pi):
+        for scale in (1 - 1e-6, 1 + 1e-6):
+            # one step at just below or above the limit, the rest closing the turn
+            big = limit * scale
+            steps = [big] + [(2 * math.pi - big) / 15] * 15
+            cases.append((curve(rng, steps), {"step_limit": limit}))
+    kinds = set()
+    for samples, kwargs in cases:
+        expected = outcome(numpy_winding, samples, **kwargs)
+        assert outcome(winding_number, samples, **kwargs) == expected
+        kinds.add(expected[0] if isinstance(expected, tuple) else int)
+    assert kinds == {int, ValueError, UndersampledLoopError}
+
+
 # -- frame loops ----------------------------------------------------------------------
 
 def _diag_loop(windings, num=128):
@@ -174,6 +247,42 @@ def test_loop_plane_invariant_error_matches_per_frame_route():
     with pytest.raises(FrameError) as stacked:
         loop_maslov(FrameLoop(frames))
     assert str(stacked.value) == str(per_frame.value)
+
+
+def _stack_route(entries, tol, step_limit):
+    # the numpy disc route: unitarity at the LagrangianFrame bound, then
+    # the plane invariants and det of the whole (N, n, n) stack
+    stack = np.array([np.diag(row) for row in entries])
+    _check_unitary(stack, DEFAULT_TOL)
+    return _stack_maslov(stack, tol, step_limit)
+
+
+@pytest.mark.parametrize("scale,refusal,kinds", [
+    (None, None, {int, UndersampledLoopError}),
+    (1 + 1e-6, "frame is not unitary", {FrameError}),
+    # the plane check runs at max(tol, 1e-7), so tol = 1e-6 lets this through
+    (1 + 3.5e-8, "plane invariant failed", {FrameError, int, UndersampledLoopError}),
+])
+def test_diagonal_core_refuses_what_the_stack_refuses(scale, refusal, kinds):
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(40):
+        size = rng.randint(1, 4)
+        windings = [rng.randint(-3, 3) for _ in range(size)]
+        num = rng.choice([8, 16, 64, 256])
+        entries = [[cmath.exp(1j * (math.pi * w * k / num + rng.gauss(0, 0.01)))
+                    for w in windings] for k in range(num)]
+        if scale is not None:
+            entries[rng.randrange(num)][rng.randrange(size)] *= scale
+        for tol in (DEFAULT_TOL, 1e-6):
+            for limit in (math.pi / 2, math.pi):
+                expected = outcome(_stack_route, entries, tol, limit)
+                assert outcome(_diagonal_maslov, entries, tol, limit) == expected
+                kind = int if isinstance(expected, int) else expected[0]
+                seen.add(kind)
+                if kind is FrameError:
+                    assert refusal in expected[1]
+    assert seen == kinds
 
 
 def test_loop_invariant_under_fixed_orthogonal_change():
