@@ -15,75 +15,54 @@ Only SVD rank, the numpy frame-stack API of :mod:`cftorus.maslov`
 (``LagrangianFrame``, ``FrameLoop``, ``b_map``, ``loop_maslov``) and
 ``discs.disc_eval_boundary`` need numpy, and each imports it where it
 runs: exact computations and the disc path of ``maslov-check`` never
-load it.  The names of :mod:`cftorus.discs` and :mod:`cftorus.maslov`
-are imported on first access.
+load it.
+
+Every submodule, and every public name below, is imported on first
+access, so ``import cftorus`` runs none of them and ``maslov-check``
+loads only :mod:`cftorus.cli`, :mod:`cftorus.discs` and
+:mod:`cftorus.maslov`.  ``DEFAULT_TOL`` lives here for that reason:
+:mod:`cftorus.scalars` re-exports the same object.
 """
 
 from importlib import import_module as _import_module
 
-from .scalars import (
-    ApproxComplex,
-    Cyclotomic,
-    DEFAULT_TOL,
-    root_of_unity,
-    scalar_is_zero,
-)
-from .exterior import (
-    ExteriorClass,
-    GradedMatrixComplex,
-    NotAComplexError,
-    cohomology_ranks,
-    index_sets,
-    insert_sign,
-    koszul_complex,
-    rank,
-    wedge_by_vector,
-)
-from .floer import (
-    FullDifferential,
-    HolonomyAssignment,
-    HomotopyClass,
-    NovikovCochain,
-    RankTable,
-    SpinStructure,
-    WeightVector,
-    brane_configs,
-    brane_scan,
-    brane_scan_cells,
-    delta2,
-    dimension_deficit,
-    evaluate_cell,
-    floer_ranks_bruteforce,
-    floer_ranks_closedform,
-    full_differential,
-    spin_configs,
-    spin_scan,
-    standard_spin,
-    weights,
-)
-from .signs import (
-    OrientedFactor,
-    OrientedFactorization,
-    boundary_fibre_signs,
-    evaluation_orientation_sign,
-    fibre_product_sign,
-    gluing_sign,
-    moduli_dim,
-    permute_sign,
-    squarezero_chain,
-)
-from .oracle import (
-    CochainAssignment,
-    NotACocycleError,
-    koszul_rescale_check,
-    simplex_coboundary,
-    solve_cocycle,
-)
+#: default zero-test tolerance of every backend and of the disc checks
+DEFAULT_TOL = 1e-9
 
 __version__ = "0.1.0"
 
 #: public name -> submodule it is imported from on first access (PEP 562)
 _LAZY = {
+    "scalars": "scalars",
+    **dict.fromkeys((
+        "ApproxComplex", "Cyclotomic", "root_of_unity", "scalar_is_zero",
+    ), "scalars"),
+    "exterior": "exterior",
+    **dict.fromkeys((
+        "ExteriorClass", "GradedMatrixComplex", "NotAComplexError",
+        "cohomology_ranks", "index_sets", "insert_sign", "koszul_complex", "rank",
+        "wedge_by_vector",
+    ), "exterior"),
+    "floer": "floer",
+    **dict.fromkeys((
+        "FullDifferential", "HolonomyAssignment", "HomotopyClass",
+        "NovikovCochain", "RankTable", "SpinStructure", "WeightVector",
+        "brane_configs", "brane_scan", "brane_scan_cells", "delta2",
+        "dimension_deficit", "evaluate_cell", "floer_ranks_bruteforce",
+        "floer_ranks_closedform", "full_differential", "spin_configs",
+        "spin_scan", "standard_spin", "weights",
+    ), "floer"),
+    "signs": "signs",
+    **dict.fromkeys((
+        "OrientedFactor", "OrientedFactorization", "boundary_fibre_signs",
+        "evaluation_orientation_sign", "fibre_product_sign", "gluing_sign",
+        "moduli_dim", "permute_sign", "squarezero_chain",
+    ), "signs"),
+    "oracle": "oracle",
+    **dict.fromkeys((
+        "CochainAssignment", "NotACocycleError", "koszul_rescale_check",
+        "simplex_coboundary", "solve_cocycle",
+    ), "oracle"),
     "discs": "discs",
     **dict.fromkeys((
         "BlaschkeComponent", "BlaschkeDisc", "BlaschkeFactor",

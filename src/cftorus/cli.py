@@ -19,18 +19,12 @@ from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 from math import comb, inf, lcm, nan
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import oracle, signs
-from .floer import (
-    HolonomyAssignment,
-    SpinStructure,
-    brane_configs,
-    evaluate_cell,
-    spin_configs,
-    standard_spin,
-)
-from .scalars import DEFAULT_TOL
+from . import DEFAULT_TOL
+
+if TYPE_CHECKING:  # the exact stack is imported by the commands that run it
+    from .floer import HolonomyAssignment, SpinStructure
 
 SPIN_SCAN_MAX_N = 12
 BRANE_SCAN_MAX_N = 6
@@ -38,10 +32,11 @@ BRANE_SCAN_MAX_N = 6
 #: cost up to m^2 rational operations (README gives the timing)
 HOLONOMY_LCM_MAX = 720
 
-#: command -> (largest n, cell count formula, config generator, summary noun)
+#: command -> (largest n, cell count formula, config generator in floer,
+#: summary noun)
 SCANS = {
-    "spin-scan": (SPIN_SCAN_MAX_N, "2^n", spin_configs, "spin structures"),
-    "brane-scan": (BRANE_SCAN_MAX_N, "(n+1)^n", brane_configs,
+    "spin-scan": (SPIN_SCAN_MAX_N, "2^n", "spin_configs", "spin structures"),
+    "brane-scan": (BRANE_SCAN_MAX_N, "(n+1)^n", "brane_configs",
                    "holonomy assignments"),
 }
 
@@ -59,6 +54,8 @@ def _is_float(token: str) -> bool:
 
 def parse_spin(text: str, n: int) -> SpinStructure:
     """Twisted subset ("0", "{1,3}", "1,3") or a full sign vector ("1,-1,-1")."""
+    from .floer import SpinStructure, standard_spin
+
     text = (text or "0").strip().strip("{}")
     if text in ("", "0"):
         return standard_spin(n)
@@ -78,7 +75,12 @@ def parse_spin(text: str, n: int) -> SpinStructure:
             raise ValueError("--spin entry %r is not an index in 1..%d" % (token, n))
         return i
 
-    return SpinStructure.from_subset([index(t) for t in tokens], n)
+    indices = [index(t) for t in tokens]
+    for k, i in enumerate(indices):
+        if i in indices[:k]:
+            raise ValueError("--spin entry %r repeats index %d of the twisted subset"
+                             % (tokens[k], i))
+    return SpinStructure.from_subset(indices, n)
 
 
 _NOT_AN_ENTRY = "holonomy entry %r is not p/q, re,im or a real number"
@@ -94,6 +96,8 @@ def parse_holonomy(text: Optional[str], n: int, tol: float,
     approximate entries.  Exact entries whose denominators have an lcm
     above HOLONOMY_LCM_MAX are refused.
     """
+    from .floer import HolonomyAssignment
+
     if text is None:
         entries = ["0/1"] * n
     elif ";" in text:
@@ -186,6 +190,14 @@ def _emit(record: dict, fmt: str) -> None:
         _emit_json(record)
 
 
+def evaluate_cell(spin: SpinStructure, holonomy: HolonomyAssignment, tol: float):
+    """`floer.evaluate_cell`, looked up here by every cell that hf and the
+    scans compute, so the exact stack is imported only when one runs."""
+    from . import floer
+
+    return floer.evaluate_cell(spin, holonomy, tol)
+
+
 def _cell_record(config, tol: float) -> dict:
     """One scan cell's result record (top level, so process pools can pickle it)."""
     spin, holonomy = config
@@ -204,11 +216,14 @@ def cmd_hf(spin: SpinStructure, holonomy: HolonomyAssignment, tol: float,
 
 
 def cmd_scan(command: str, n: int, tol: float, fmt: str, jobs: int) -> int:
-    max_n, cell_count, configs, noun = SCANS[command]
+    max_n, cell_count, generator, noun = SCANS[command]
     if n < 1 or n > max_n:
         print("%s supports 1 <= n <= %d (%s cells); got n=%d"
               % (command, max_n, cell_count, n), file=sys.stderr)
         return 2
+    from . import floer
+
+    configs = getattr(floer, generator)
     if fmt == "csv":
         _emit_csv_header()
     worker = partial(_cell_record, tol=tol)
@@ -259,7 +274,7 @@ def cmd_maslov_check(count: int, seed: int, tol: float) -> int:
 
 
 def _selftest_checks(tol: float):
-    from . import discs, maslov
+    from . import discs, maslov, oracle, signs
     from .floer import WeightVector, floer_ranks_bruteforce, spin_scan
 
     def spin_dichotomy():

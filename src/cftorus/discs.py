@@ -18,10 +18,12 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .floer import HomotopyClass
-from .scalars import DEFAULT_TOL
+from . import DEFAULT_TOL
+
+if TYPE_CHECKING:  # the exact stack is imported where a class is asked for
+    from .floer import HomotopyClass
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,7 +117,8 @@ class BlaschkeComponent:
     def eval_many(self, z: Sequence[complex]) -> List[complex]:
         out = [cmath.exp(1j * self.theta)] * len(z)
         for f in self.factors:
-            out = [o * v for o, v in zip(out, f.eval_many(z))]
+            alpha, conj = f.alpha, f.alpha.conjugate()
+            out = [o * ((x - alpha) / (1.0 - conj * x)) for o, x in zip(out, z)]
         return out
 
 
@@ -184,6 +187,8 @@ def maslov_index(d: BlaschkeDisc) -> int:
 
 def homotopy_class(d: BlaschkeDisc) -> HomotopyClass:
     """Intersection vector of the disc; `.boundary` gives its circle class."""
+    from .floer import HomotopyClass
+
     return HomotopyClass(d.mu)
 
 

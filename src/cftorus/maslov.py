@@ -32,10 +32,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, Sequence, Tuple
 
+from . import DEFAULT_TOL
 from .discs import BlaschkeDisc
-from .scalars import DEFAULT_TOL
 
 if TYPE_CHECKING:  # numpy is imported where the frame-stack code runs
     import numpy as np
@@ -135,6 +136,11 @@ def winding_number(samples, tol: float = DEFAULT_TOL,
     `samples` traverse the loop once without repeating the start point.
     Near-zero samples and argument steps >= step_limit are rejected, as
     is a total that rounds with residue >= residue_limit.
+
+    On a closed list the principal steps of consecutive ratios sum to a
+    multiple of 2pi up to rounding of about 1e-16 per step, so no curve
+    of up to MAX_SAMPLES samples comes near the residue limit.  The check
+    stays as a guard against that rounding at very large N.
     """
     z = [complex(x) for x in samples]
     if len(z) < 2:
@@ -163,7 +169,7 @@ def _stack_maslov(a: np.ndarray, tol: float, step_limit: float) -> int:
     return winding_number(np.linalg.det(_plane_invariants(a, tol)), tol, step_limit)
 
 
-def _diagonal_maslov(entries: Sequence[Sequence[complex]], tol: float,
+def _diagonal_maslov(entries: Iterable[Sequence[complex]], tol: float,
                      step_limit: float) -> int:
     """`_stack_maslov` of diagonal frames given by their diagonal entries,
     one row per sample, after the unitarity check at the bound a
@@ -197,6 +203,12 @@ def loop_maslov(loop: FrameLoop, tol: float = DEFAULT_TOL,
     return _stack_maslov(np.stack([f.matrix for f in loop.frames]), tol, step_limit)
 
 
+@lru_cache(maxsize=16)  # DEFAULT_SAMPLES doubles to MAX_SAMPLES in 7 sizes
+def _circle(num: int) -> Tuple[complex, ...]:
+    """The num equispaced boundary points, shared by every disc sampled there."""
+    return tuple(cmath.rect(1.0, 2.0 * math.pi * k / num) for k in range(num))
+
+
 def disc_boundary_maslov(d: BlaschkeDisc, tol: float = DEFAULT_TOL,
                          samples: int = DEFAULT_SAMPLES,
                          max_samples: int = MAX_SAMPLES) -> int:
@@ -210,14 +222,15 @@ def disc_boundary_maslov(d: BlaschkeDisc, tol: float = DEFAULT_TOL,
         raise ChartError("disc meets the zeroth hyperplane (mu_0 = %d)" % d.mu[0])
     num = samples
     while True:
-        z = [cmath.rect(1.0, 2.0 * math.pi * k / num) for k in range(num)]
-        values = [c.eval_many(z) for c in d.components]
-        entries = [[cmath.rect(1.0, cmath.phase(v / base)) for v in rest]
-                   for base, *rest in zip(*values)]
+        z = _circle(num)
+        base, *rest = [c.eval_many(z) for c in d.components]
+        # unit diagonal entries, one column per coordinate ratio
+        columns = [[(w := v / b) / abs(w) for v, b in zip(values, base)]
+                   for values in rest]
         try:
             # stricter step bound than the pi ambiguity threshold, so a
             # passing sample count is comfortably unambiguous
-            return _diagonal_maslov(entries, tol, step_limit=math.pi / 2)
+            return _diagonal_maslov(zip(*columns), tol, step_limit=math.pi / 2)
         except UndersampledLoopError:
             if num >= max_samples:
                 raise

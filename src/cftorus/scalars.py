@@ -34,7 +34,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable
 
-DEFAULT_TOL = 1e-9
+# defined in the package root, so the disc path need not run this module
+from . import DEFAULT_TOL
 
 
 def _divide_monic(num: list, divisor) -> list:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from cftorus import cli, scalars
+from cftorus import cli, floer, scalars
 from cftorus.cli import main, parse_holonomy, parse_spin
 
 
@@ -171,6 +171,11 @@ def test_scan_guards(capsys, monkeypatch):
      "holonomy entry '1/-3' is not p/q, re,im or a real number"),
     (["maslov-check", "--count", "2", "--tol", "2"],
      "disc 1 of 2 (n=4, --seed 0, --tol 2): curve sample within 2 of zero"),
+    # n tokens are a twisted subset, which names each index once
+    (["hf", "--n", "3", "--spin", "1,1,1"],
+     "--spin entry '1' repeats index 1 of the twisted subset"),
+    (["hf", "--n", "3", "--spin", "{2,3,02}"],
+     "--spin entry '02' repeats index 2 of the twisted subset"),
 ])
 def test_bad_inputs_exit_2_naming_them(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
@@ -216,7 +221,7 @@ def test_holonomy_lcm_cap(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a refused holonomy reached the exact backend")
 
-    monkeypatch.setattr(cli.HolonomyAssignment, "from_angles", never)
+    monkeypatch.setattr(floer.HolonomyAssignment, "from_angles", never)
     for text, order in (("1/721,0/1", 721), ("1/80,1/11", 880)):
         code, out, err = run_cli(capsys, ["hf", "--n", "2", "--holonomy", text])
         assert (code, out) == (2, "")
@@ -362,6 +367,21 @@ def test_exact_commands_never_import_numpy():
     assert loaded_after("numpy", ["maslov-check", "--count", "1"]) == [False, False, False]
     # serial commands never load the process pool either
     assert loaded_after("concurrent.futures.process", *exact) == [False] * 5
+
+
+def test_import_cftorus_loads_no_submodule():
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, cftorus; "
+         "print([m for m in sys.modules if m.startswith('cftorus.')])"],
+        capture_output=True, text=True, check=True, env=CHILD_ENV)
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("module", ["cftorus.floer", "cftorus.exterior",
+                                    "cftorus.scalars", "cftorus.oracle",
+                                    "cftorus.signs"])
+def test_maslov_check_never_loads_the_exact_stack(module):
+    assert loaded_after(module, ["maslov-check", "--count", "1"]) == [False] * 3
 
 
 #: every public name of the cftorus package, as exported when all of its
@@ -544,6 +564,20 @@ def test_scan_jobs_flag_keeps_output_order():
     assert hashlib.sha256(serial.stdout).hexdigest() == SCAN_GOLDEN["spin-scan", 3][0]
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["hf", "--n", "3", "--spin", "{2}", "--holonomy", "1/3,1/3,1/3"],
+     HF_EXACT_GOLDEN["n3-twisted"][1]),
+    (["spin-scan", "4", "--jobs", "2"], SCAN_GOLDEN["spin-scan", 4][0]),
+    (["brane-scan", "3", "--jobs", "2"], SCAN_GOLDEN["brane-scan", 3][0]),
+], ids=["hf", "spin-scan-jobs2", "brane-scan-jobs2"])
+def test_exact_commands_in_a_fresh_interpreter(argv, digest):
+    # the exact stack is imported on demand, by the command and by the
+    # workers of a pool; both must reach it from a fresh interpreter
+    done = subprocess.run([sys.executable, "-m", "cftorus", *argv],
+                          capture_output=True, check=True, env=CHILD_ENV)
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
 def test_scan_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     # a recorder stands in for the pool, so no worker process starts
     seen = []
@@ -596,6 +630,8 @@ def test_parse_spin_forms():
     assert parse_spin("{1,3}", 3).eps == (1, -1, 1, -1)
     assert parse_spin("1,3", 3).eps == (1, -1, 1, -1)
     assert parse_spin("1,-1,-1", 2).eps == (1, -1, -1)
+    # n+1 entries of +-1 are a sign vector, even where they repeat
+    assert parse_spin("1,1,1,1", 3).eps == (1, 1, 1, 1)
 
 
 def test_parse_spin_rejects_bad_vector():

@@ -26,6 +26,7 @@ from cftorus.maslov import (
     loop_maslov,
     winding_number,
     _check_unitary,
+    _circle,
     _diagonal_maslov,
     _stack_maslov,
 )
@@ -174,6 +175,20 @@ def test_winding_number_matches_numpy_reference():
         assert outcome(winding_number, samples, **kwargs) == expected
         kinds.add(expected[0] if isinstance(expected, tuple) else int)
     assert kinds == {int, ValueError, UndersampledLoopError}
+
+
+def test_closed_curves_round_far_inside_the_residue_limit():
+    # the claim winding_number's docstring makes for keeping its residue
+    # check: up to MAX_SAMPLES samples, a closed list's steps sum to a
+    # multiple of 2 pi within rounding, so even a 1e-9 limit passes
+    rng = random.Random(77)
+    for num in (16, 256, 4096, MAX_SAMPLES):
+        for w in range(-5, 6):
+            jitter = [rng.gauss(0.0, 0.5 / math.sqrt(num)) for _ in range(num)]
+            mean = sum(jitter) / num
+            steps = [2 * math.pi * w / num + j - mean for j in jitter]
+            samples = curve(rng, steps, wobble=0.9)
+            assert winding_number(samples, residue_limit=1e-9) == w, (num, w)
 
 
 # -- frame loops ----------------------------------------------------------------------
@@ -364,3 +379,26 @@ def test_zero_near_boundary_forces_adaptive_resampling():
     assert disc_boundary_maslov(d) == 2
     with pytest.raises(UndersampledLoopError):
         disc_boundary_maslov(d, max_samples=256)
+
+
+def test_shared_sample_circle_gives_the_fresh_circle_index():
+    # discs sampled in turn share the cached circles, at every size the
+    # doubling reaches; clearing the cache before each disc must not change
+    # an index, and the cached circle must still be the fresh one after use
+    rng = random.Random(53)
+    ds = [random_disc(rng, rng.randint(1, 4), max_degree=4, chart0=True)
+          for _ in range(30)]
+    ds.append(disc_make([BlaschkeComponent(),
+                         BlaschkeComponent(0.1, (BlaschkeFactor(0.98 + 0j),)),
+                         BlaschkeComponent(0.4)]))
+    _circle.cache_clear()
+    shared = [disc_boundary_maslov(d) for d in ds]
+    assert _circle.cache_info().hits > 0
+    fresh = []
+    for d in ds:
+        _circle.cache_clear()
+        fresh.append(disc_boundary_maslov(d))
+    assert shared == fresh
+    for num in (256, 512, 1024):
+        assert _circle(num) == tuple(cmath.rect(1.0, 2.0 * math.pi * k / num)
+                                     for k in range(num))
