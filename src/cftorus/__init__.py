@@ -21,7 +21,11 @@ Every submodule, and every public name below, is imported on first
 access, so ``import cftorus`` runs none of them and ``maslov-check``
 loads only :mod:`cftorus.cli`, :mod:`cftorus.discs` and
 :mod:`cftorus.maslov`.  ``DEFAULT_TOL`` lives here for that reason:
-:mod:`cftorus.scalars` re-exports the same object.
+:mod:`cftorus.scalars` re-exports the same object.  On that path the
+disc and frame types are plain classes rather than dataclasses, and
+``Fraction`` is imported where one is built, so ``maslov-check`` loads
+neither ``dataclasses`` (nor its ``inspect``) nor ``fractions`` (nor
+its ``decimal``).
 """
 
 from importlib import import_module as _import_module

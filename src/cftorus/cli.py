@@ -16,7 +16,6 @@ import os
 import random
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 from functools import partial
 from math import comb, inf, lcm, nan
 from typing import TYPE_CHECKING, Optional
@@ -96,6 +95,8 @@ def parse_holonomy(text: Optional[str], n: int, tol: float,
     approximate entries.  Exact entries whose denominators have an lcm
     above HOLONOMY_LCM_MAX are refused.
     """
+    from fractions import Fraction
+
     from .floer import HolonomyAssignment
 
     if text is None:
@@ -274,6 +275,8 @@ def cmd_maslov_check(count: int, seed: int, tol: float) -> int:
 
 
 def _selftest_checks(tol: float):
+    from fractions import Fraction
+
     from . import discs, maslov, oracle, signs
     from .floer import WeightVector, floer_ranks_bruteforce, spin_scan
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import DEFAULT_TOL
 
-if TYPE_CHECKING:  # the exact stack is imported where a class is asked for
+if TYPE_CHECKING:  # the exact stack and Fraction are imported where they are used
+    from fractions import Fraction
+
     from .floer import HomotopyClass
 
 TWO_PI = 2.0 * math.pi
@@ -32,18 +32,61 @@ class DegenerateDiscError(ValueError):
     """All coordinates vanish somewhere: not a map to projective space."""
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class _Frozen:
+    """Immutable value with the repr, equality and hash of a frozen dataclass.
+
+    `_fields` names the constructor's fields in order, and `_compared`
+    those that equality and hash read.  `__init__` stores the fields in
+    the instance dict, which pickle and deepcopy restore without running
+    it.  Written out rather than generated so that the disc path never
+    imports `dataclasses` (and with it `inspect`).
+    """
+
+    _fields: Tuple[str, ...] = ()
+    _compared: Tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compared))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+def _finite_phase(theta, what: str) -> float:
+    """theta as a float in [0, 2pi); inf and nan are refused, naming them."""
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError("%s theta=%r is not finite" % (what, theta))
+    return theta % TWO_PI
+
+
+class MoebiusMap(_Frozen):
     """Disc automorphism z -> exp(i*theta) (z - a)/(1 - conj(a) z)."""
 
-    theta: float = 0.0
-    a: complex = 0j
+    _fields = _compared = ("theta", "a")
 
-    def __post_init__(self):
-        if abs(self.a) >= 1.0:
+    def __init__(self, theta: float = 0.0, a: complex = 0j):
+        if not abs(a) < 1.0:
+            if not cmath.isfinite(a):
+                raise ValueError("Moebius parameter a=%r is not finite" % (a,))
             raise ValueError("Moebius parameter must lie inside the unit disc")
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-        object.__setattr__(self, "a", complex(self.a))
+        self.__dict__.update(theta=_finite_phase(theta, "Moebius angle"),
+                             a=complex(a))
 
     def __call__(self, z: complex) -> complex:
         return cmath.exp(1j * self.theta) * (z - self.a) / (1.0 - self.a.conjugate() * z)
@@ -52,27 +95,33 @@ class MoebiusMap:
         return MoebiusMap(-self.theta, -self.a * cmath.exp(1j * self.theta))
 
 
-@dataclass(frozen=True)
-class BlaschkeFactor:
+class BlaschkeFactor(_Frozen):
     """One factor (z - alpha)/(1 - conj(alpha) z), |alpha| < 1 strictly.
 
     `exact` optionally keeps the zero as a Gaussian-rational pair so that
     coincidence of zeros can be decided without tolerance.
     """
 
-    alpha: complex
-    exact: Optional[Tuple[Fraction, Fraction]] = None
+    _fields = _compared = ("alpha", "exact")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        if abs(self.alpha) >= 1.0:
+    def __init__(self, alpha: complex,
+                 exact: Optional[Tuple[Fraction, Fraction]] = None):
+        alpha = complex(alpha)
+        if not abs(alpha) < 1.0:
+            if not cmath.isfinite(alpha):
+                raise ValueError("Blaschke zero %r is not finite" % (alpha,))
             raise ValueError("Blaschke zero must lie strictly inside the unit disc")
-        if self.exact is not None:
-            re, im = self.exact
-            object.__setattr__(self, "exact", (Fraction(re), Fraction(im)))
+        if exact is not None:
+            from fractions import Fraction
+
+            re, im = exact
+            exact = (Fraction(re), Fraction(im))
+        self.__dict__.update(alpha=alpha, exact=exact)
 
     @classmethod
     def from_rational(cls, re, im=0) -> "BlaschkeFactor":
+        from fractions import Fraction
+
         re, im = Fraction(re), Fraction(im)
         return cls(complex(float(re), float(im)), exact=(re, im))
 
@@ -89,16 +138,15 @@ class BlaschkeFactor:
         return abs(self.alpha - other.alpha) < tol
 
 
-@dataclass(frozen=True)
-class BlaschkeComponent:
+class BlaschkeComponent(_Frozen):
     """Phase times a (possibly empty) product of Blaschke factors."""
 
-    theta: float = 0.0
-    factors: Tuple[BlaschkeFactor, ...] = ()
+    _fields = _compared = ("theta", "factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-        object.__setattr__(self, "factors", tuple(self.factors))
+    def __init__(self, theta: float = 0.0,
+                 factors: Sequence[BlaschkeFactor] = ()):
+        self.__dict__.update(theta=_finite_phase(theta, "component phase"),
+                             factors=tuple(factors))
 
     @property
     def degree(self) -> int:
@@ -122,20 +170,21 @@ class BlaschkeComponent:
         return out
 
 
-@dataclass(frozen=True)
-class BlaschkeDisc:
+class BlaschkeDisc(_Frozen):
     """Coordinates (gamma_0,..,gamma_n) with pairwise disjoint zero sets.
 
     Pairwise disjointness is stricter than the bare requirement that no
     point kills every coordinate at once; it is the validation contract
     here, and it makes zero counts per coordinate unambiguous data.
+    `tol` decides which zeros coincide; equality and hash ignore it.
     """
 
-    components: Tuple[BlaschkeComponent, ...]
-    tol: float = field(default=DEFAULT_TOL, compare=False)
+    _fields = ("components", "tol")
+    _compared = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+    def __init__(self, components: Sequence[BlaschkeComponent],
+                 tol: float = DEFAULT_TOL):
+        self.__dict__.update(components=tuple(components), tol=tol)
         if len(self.components) < 2:
             raise ValueError("need n+1 >= 2 coordinate components")
         self._check_no_shared_zero()
@@ -232,7 +281,7 @@ def solve_disc_through_point(class_index: int, target: Sequence[complex],
         if abs(abs(t) - 1.0) > max(tol, 1e-7):
             raise ValueError("target entry %r is not unit modulus" % (t,))
         phases.append(cmath.phase(t) % TWO_PI)
-    zero_factor = (BlaschkeFactor(0j, exact=(Fraction(0), Fraction(0))),)
+    zero_factor = (BlaschkeFactor(0j, exact=(0, 0)),)
     components = [BlaschkeComponent(0.0, zero_factor if class_index == 0 else ())]
     for j, psi in enumerate(phases, start=1):
         factors = zero_factor if j == class_index else ()
@@ -280,8 +329,9 @@ def disc_from_json_dict(data: dict, tol: float = DEFAULT_TOL) -> BlaschkeDisc:
     for entry in data["components"]:
         theta = entry.get("theta", 0.0)
         if isinstance(theta, str):
-            turn = Fraction(theta)
-            theta = TWO_PI * float(turn)
+            from fractions import Fraction
+
+            theta = TWO_PI * float(Fraction(theta))
         factors = tuple(BlaschkeFactor(complex(zd["re"], zd["im"]))
                         for zd in entry.get("zeros", ()))
         components.append(BlaschkeComponent(float(theta), factors))

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence, Tuple
 
 from . import DEFAULT_TOL
-from .discs import BlaschkeDisc
+from .discs import BlaschkeDisc, _Frozen
 
 if TYPE_CHECKING:  # numpy is imported where the frame-stack code runs
     import numpy as np
@@ -84,12 +83,21 @@ def _plane_invariants(a: np.ndarray, tol: float) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
-class LagrangianFrame:
-    """Unitary matrix whose columns frame the plane A.R^n."""
+class LagrangianFrame(_Frozen):
+    """Unitary matrix whose columns frame the plane A.R^n.
 
-    matrix: np.ndarray
-    tol: float = DEFAULT_TOL
+    Frames compare and hash by identity: field-wise equality would take
+    the truth value of a numpy comparison, which raises.
+    """
+
+    _fields = ("matrix", "tol")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, matrix: np.ndarray, tol: float = DEFAULT_TOL):
+        self.__dict__.update(matrix=matrix, tol=tol)
+        # a method of its own: benchmark/tracing.py counts frames by wrapping it
+        self.__post_init__()
 
     def __post_init__(self):
         import numpy as np
@@ -98,7 +106,7 @@ class LagrangianFrame:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise FrameError("frame must be a square matrix")
         _check_unitary(a, self.tol)
-        object.__setattr__(self, "matrix", a)
+        self.__dict__["matrix"] = a
 
     @property
     def n(self) -> int:
@@ -116,16 +124,15 @@ def b_map(frame: LagrangianFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _plane_invariants(frame.matrix, tol)
 
 
-@dataclass(frozen=True)
-class FrameLoop:
+class FrameLoop(_Frozen):
     """Frames at parameters t_k in [0,1); closes from the last back to the first."""
 
-    frames: Tuple[LagrangianFrame, ...]
+    _fields = _compared = ("frames",)
 
-    def __post_init__(self):
-        if len(self.frames) < 2:
+    def __init__(self, frames: Sequence[LagrangianFrame]):
+        if len(frames) < 2:
             raise ValueError("a loop needs at least two samples")
-        object.__setattr__(self, "frames", tuple(self.frames))
+        self.__dict__["frames"] = tuple(frames)
 
 
 def winding_number(samples, tol: float = DEFAULT_TOL,
@@ -134,8 +141,9 @@ def winding_number(samples, tol: float = DEFAULT_TOL,
     """Total argument increment / 2pi of a closed nonvanishing curve.
 
     `samples` traverse the loop once without repeating the start point.
-    Near-zero samples and argument steps >= step_limit are rejected, as
-    is a total that rounds with residue >= residue_limit.
+    Non-finite samples, near-zero samples and argument steps >=
+    step_limit are rejected, as is a total that rounds with residue >=
+    residue_limit.
 
     On a closed list the principal steps of consecutive ratios sum to a
     multiple of 2pi up to rounding of about 1e-16 per step, so no curve
@@ -145,6 +153,12 @@ def winding_number(samples, tol: float = DEFAULT_TOL,
     z = [complex(x) for x in samples]
     if len(z) < 2:
         raise ValueError("need at least two samples")
+    # one sum finds inf and nan, which the step sum alone would not: the
+    # ratios next to an infinite real sample have finite phases
+    if not cmath.isfinite(sum(z)):
+        for k, x in enumerate(z):
+            if not cmath.isfinite(x):
+                raise ValueError("curve sample %d is not finite: %r" % (k, x))
     if min(map(abs, z)) < tol:
         raise ValueError("curve sample within %g of zero" % tol)
     steps = [cmath.phase(b / a) for a, b in zip(z, z[1:] + z[:1])]

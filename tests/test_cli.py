@@ -379,7 +379,8 @@ def test_import_cftorus_loads_no_submodule():
 
 @pytest.mark.parametrize("module", ["cftorus.floer", "cftorus.exterior",
                                     "cftorus.scalars", "cftorus.oracle",
-                                    "cftorus.signs"])
+                                    "cftorus.signs", "dataclasses", "inspect",
+                                    "fractions", "decimal"])
 def test_maslov_check_never_loads_the_exact_stack(module):
     assert loaded_after(module, ["maslov-check", "--count", "1"]) == [False] * 3
 

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 
 from cftorus.discs import (
     BlaschkeComponent,
+    BlaschkeDisc,
     BlaschkeFactor,
     DegenerateDiscError,
     MoebiusMap,
@@ -249,3 +252,117 @@ def test_disc_json_accepts_fractional_phase():
                            {"theta": 0.0, "zeros": [{"re": 0.0, "im": 0.0}]}]}
     d = disc_from_json_dict(data)
     assert d.components[0].theta == pytest.approx(math.pi / 2)
+
+
+# -- value semantics -------------------------------------------------------------
+
+def _two_coordinate_disc(tol):
+    return disc_make([BlaschkeComponent(),
+                      BlaschkeComponent(0.0, (BlaschkeFactor(0j),))], tol)
+
+
+#: (build, a different value of the same type, repr of the built value)
+VALUE_CASES = {
+    "moebius": (lambda: MoebiusMap(7.0, 0.5j), MoebiusMap(7.0, 0.25j),
+                "MoebiusMap(theta=0.7168146928204138, a=0.5j)"),
+    "factor": (lambda: BlaschkeFactor.from_rational(Fraction(1, 2), Fraction(-1, 4)),
+               BlaschkeFactor(0.5 - 0.25j),
+               "BlaschkeFactor(alpha=(0.5-0.25j), "
+               "exact=(Fraction(1, 2), Fraction(-1, 4)))"),
+    "component": (lambda: BlaschkeComponent(-1.0, [BlaschkeFactor(0.5j)]),
+                  BlaschkeComponent(-1.0),
+                  "BlaschkeComponent(theta=5.283185307179586, "
+                  "factors=(BlaschkeFactor(alpha=0.5j, exact=None),))"),
+    "disc": (lambda: _two_coordinate_disc(1e-6),
+             disc_make([BlaschkeComponent(), BlaschkeComponent(1.0)]),
+             "BlaschkeDisc(components=(BlaschkeComponent(theta=0.0, factors=()), "
+             "BlaschkeComponent(theta=0.0, factors=(BlaschkeFactor(alpha=0j, "
+             "exact=None),))), tol=1e-06)"),
+}
+
+
+@pytest.mark.parametrize("case", list(VALUE_CASES))
+def test_disc_types_are_immutable_values(case):
+    build, other, text = VALUE_CASES[case]
+    value, twin = build(), build()
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert value != other and not value == other
+    assert value != text  # another type never compares equal
+    assert repr(value) == text
+    field = text[text.index("(") + 1:text.index("=")]
+    for change in (lambda: setattr(value, field, None),
+                   lambda: delattr(value, field),
+                   lambda: setattr(value, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert repr(value) == text
+    for roundtrip in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        clone = roundtrip(value)
+        assert type(clone) is type(value)
+        assert clone == value and hash(clone) == hash(value)
+        assert repr(clone) == text
+        with pytest.raises(AttributeError):
+            setattr(clone, field, None)
+
+
+def test_disc_equality_ignores_tol():
+    loose, strict = _two_coordinate_disc(1e-3), _two_coordinate_disc(1e-12)
+    assert loose == strict and hash(loose) == hash(strict)
+    assert (loose.tol, strict.tol) == (1e-3, 1e-12)
+    assert len({loose, strict}) == 1
+
+
+def test_constructors_convert_their_fields():
+    m = MoebiusMap(-1, 0.5)
+    assert (m.theta, m.a) == (2 * math.pi - 1.0, 0.5 + 0j)
+    assert type(m.theta) is float and type(m.a) is complex
+    f = BlaschkeFactor(0.25, exact=(1, "1/3"))
+    assert f.alpha == 0.25 + 0j and type(f.alpha) is complex
+    assert f.exact == (Fraction(1), Fraction(1, 3))
+    assert all(type(x) is Fraction for x in f.exact)
+    c = BlaschkeComponent(7, [f])
+    assert c.theta == 7.0 % (2 * math.pi) and c.factors == (f,)
+    d = BlaschkeDisc([BlaschkeComponent(), c])
+    assert type(d.components) is tuple and d.tol == 1e-9
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: MoebiusMap(0.0, 1.0), ValueError,
+     "Moebius parameter must lie inside the unit disc"),
+    (lambda: BlaschkeFactor(0.6 + 0.8j), ValueError,
+     "Blaschke zero must lie strictly inside the unit disc"),
+    (lambda: BlaschkeDisc([BlaschkeComponent()]), ValueError,
+     "need n+1 >= 2 coordinate components"),
+    (lambda: disc_make([BlaschkeComponent(0.0, (BlaschkeFactor(0.25j),)),
+                        BlaschkeComponent(0.0, (BlaschkeFactor(0.25j),))]),
+     DegenerateDiscError, "coordinates share the zero 0.25j"),
+], ids=["moebius", "factor", "disc-size", "disc-shared-zero"])
+def test_constructor_refusals_keep_their_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build,named", [
+    (lambda: BlaschkeFactor(complex("nan")), "Blaschke zero (nan+0j) is not finite"),
+    (lambda: BlaschkeFactor(complex(0.5, math.inf)), "Blaschke zero (0.5+infj)"),
+    (lambda: MoebiusMap(0.0, complex("nan")), "Moebius parameter a=(nan+0j)"),
+    (lambda: MoebiusMap(0.0, -math.inf), "Moebius parameter a=-inf"),
+    (lambda: MoebiusMap(math.inf), "Moebius angle theta=inf"),
+    (lambda: MoebiusMap(math.nan, 0.5), "Moebius angle theta=nan"),
+    (lambda: BlaschkeComponent(math.nan), "component phase theta=nan"),
+    (lambda: BlaschkeComponent(-math.inf, (BlaschkeFactor(0j),)),
+     "component phase theta=-inf"),
+    (lambda: disc_from_json_dict({"components": [
+        {"theta": math.nan}, {"zeros": [{"re": 0.0, "im": 0.0}]}]}),
+     "component phase theta=nan"),
+    (lambda: disc_from_json_dict({"components": [
+        {"theta": "1/4"}, {"zeros": [{"re": math.nan, "im": 0.0}]}]}),
+     "Blaschke zero (nan+0j)"),
+], ids=["factor-nan", "factor-inf", "moebius-a-nan", "moebius-a-inf",
+        "moebius-theta-inf", "moebius-theta-nan", "component-nan",
+        "component-inf", "json-theta-nan", "json-zero-nan"])
+def test_non_finite_disc_inputs_are_refused(build, named):
+    with pytest.raises(ValueError, match="is not finite") as info:
+        build()
+    assert named in str(info.value)

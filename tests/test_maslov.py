@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 import math
 import random
 
@@ -10,6 +12,8 @@ from cftorus.discs import (
     BlaschkeFactor,
     disc_eval_boundary,
     disc_make,
+    disc_to_json_dict,
+    maslov_index,
     random_disc,
 )
 from cftorus.maslov import (
@@ -72,6 +76,33 @@ def test_frame_must_be_unitary():
         LagrangianFrame(np.array([[2.0, 0], [0, 1.0]], dtype=complex))
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: LagrangianFrame(np.eye(2)[:1]), "frame must be a square matrix"),
+    (lambda: LagrangianFrame(2 * np.eye(2)), "frame is not unitary (defect 3)"),
+    (lambda: FrameLoop((LagrangianFrame(np.eye(2)),)),
+     "a loop needs at least two samples"),
+], ids=["square", "unitary", "loop-size"])
+def test_frame_refusals_keep_their_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_frames_print_as_dataclasses_and_stay_immutable():
+    frame = LagrangianFrame([[0, 1], [1, 0]], tol=1e-6)
+    assert frame.matrix.dtype == complex and frame.n == 2
+    assert repr(frame) == "LagrangianFrame(matrix=%r, tol=1e-06)" % (frame.matrix,)
+    loop = FrameLoop([frame, LagrangianFrame(np.eye(2))])
+    assert type(loop.frames) is tuple
+    assert repr(loop) == "FrameLoop(frames=(%r, %r))" % loop.frames
+    for value, field in ((frame, "matrix"), (frame, "tol"), (loop, "frames")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert frame.tol == 1e-6 and len(loop.frames) == 2
+
+
 # -- winding numbers ----------------------------------------------------------------
 
 def test_winding_unit_circle():
@@ -100,6 +131,33 @@ def test_winding_rejects_near_zero_samples():
     samples = np.array([1.0, 1e-12, 1.0, 1.0], dtype=complex)
     with pytest.raises(ValueError):
         winding_number(samples)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex(math.inf, 0.0),
+                                 complex(0.0, -math.inf), complex(math.inf, math.nan)],
+                         ids=["nan", "inf", "-infj", "inf-nan"])
+def test_winding_refuses_non_finite_samples(bad):
+    circle = [cmath.rect(1.0, 2 * math.pi * k / 16) for k in range(16)]
+    for first in (0, 5, 15):
+        samples = list(circle)
+        samples[first] = bad
+        samples[(first + 3) % 16] = complex("nan")  # a later bad sample is not named
+        message = "curve sample %d is not finite: %r" % (first, bad)
+        if first == 15:  # the wrapped one comes first
+            message = "curve sample 2 is not finite: (nan+0j)"
+        with pytest.raises(ValueError) as info:
+            winding_number(samples)
+        assert str(info.value) == message
+
+
+def test_winding_of_finite_samples_whose_sum_overflows():
+    # the finiteness check sums the samples; an overflow of that sum alone
+    # names no sample and refuses nothing
+    for offset, expected in ((2.0, 0), (0.5, 1)):
+        samples = [1.5e307 * (offset + cmath.rect(1.0, 2 * math.pi * k / 64))
+                   for k in range(64)]
+        assert not cmath.isfinite(sum(samples))
+        assert winding_number(samples) == expected
 
 
 def test_winding_rejects_coarse_steps():
@@ -402,3 +460,21 @@ def test_shared_sample_circle_gives_the_fresh_circle_index():
     for num in (256, 512, 1024):
         assert _circle(num) == tuple(cmath.rect(1.0, 2.0 * math.pi * k / num)
                                      for k in range(num))
+
+
+def test_maslov_check_disc_path_golden():
+    # the discs maslov-check draws, their data and both indices, pinned to
+    # the bit: a shifted phase or zero changes the digest
+    digest = hashlib.sha256()
+    for seed in range(4):
+        rng = random.Random(seed)
+        for _ in range(200):
+            d = random_disc(rng, rng.randint(1, 4), max_degree=4, chart0=True,
+                            tol=DEFAULT_TOL)
+            record = [disc_to_json_dict(d), maslov_index(d),
+                      disc_boundary_maslov(d, DEFAULT_TOL)]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == DISC_PATH_GOLDEN
+
+
+DISC_PATH_GOLDEN = "b565f312461883d570d38b453352b6d93507a400fc6255ad4899cae2a2fd5272"
