@@ -30,6 +30,9 @@ BRANE_SCAN_MAX_N = 6
 #: largest lcm of exact --holonomy denominators; exact products in Q(zeta_m)
 #: cost up to m^2 rational operations (README gives the timing)
 HOLONOMY_LCM_MAX = 720
+#: tolerances of the cell commands lie below this: at 1 or more the
+#: unit-modulus check |abs(h) - 1| <= tol accepts any holonomy, 0 included
+CELL_TOL_LIMIT = 1.0
 
 #: command -> (largest n, cell count formula, config generator in floer,
 #: summary noun)
@@ -400,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_tol(cli_value: Optional[float]) -> float:
-    """--tol, else CF_TOL, else DEFAULT_TOL; refused unless finite and positive."""
+def resolve_tol(cli_value: Optional[float], limit: float) -> float:
+    """--tol, else CF_TOL, else DEFAULT_TOL; refused unless finite, positive
+    and below `limit`."""
     if cli_value is not None:
         source, text = "--tol", cli_value
     else:
@@ -413,6 +417,8 @@ def resolve_tol(cli_value: Optional[float]) -> float:
     if not 0 < tol < inf:
         raise ValueError("%s must be a finite positive number, got %r"
                          % (source, text))
+    if tol >= limit:
+        raise ValueError("%s must be below %g, got %r" % (source, limit, text))
     return tol
 
 
@@ -423,7 +429,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        tol = resolve_tol(getattr(args, "tol", None))
+        tol = resolve_tol(getattr(args, "tol", None),
+                          inf if args.command == "maslov-check" else CELL_TOL_LIMIT)
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
         if args.command == "hf":

@@ -185,6 +185,10 @@ class BlaschkeDisc(_Frozen):
     def __init__(self, components: Sequence[BlaschkeComponent],
                  tol: float = DEFAULT_TOL):
         self.__dict__.update(components=tuple(components), tol=tol)
+        # a nan or non-positive tol would let no two zeros coincide
+        if not 0 < tol < math.inf:
+            raise ValueError("disc tol must be a finite positive number, got %r"
+                             % (tol,))
         if len(self.components) < 2:
             raise ValueError("need n+1 >= 2 coordinate components")
         self._check_no_shared_zero()

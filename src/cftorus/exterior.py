@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import comb
 from typing import Optional, Sequence, Tuple
 
@@ -192,21 +192,44 @@ def matrix_scale(scalar, matrix):
     return [[scalar * x for x in row] for row in matrix]
 
 
-def matmul(a, b):
-    """a·b by combining rows of b over nonzero terms; an untouched entry is int 0."""
-    if not a or not b:
-        return []
-    b_rows = [[(col, y) for col, y in enumerate(row) if y] for row in b]
+def _nonzero_rows(matrix):
+    """Each row of a dense matrix as {column: entry} over its nonzero entries."""
+    return [{c: row[c] for c in compress(count(), row)} for row in matrix]
+
+
+def _check_shapes(a, b) -> None:
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("shape mismatch in matrix product")
+
+
+def _sparse_product(a, b):
+    """Rows of a·b as {column: entry}, from the {column: entry} rows of both.
+
+    Only products of two nonzero entries are formed, each column summed in
+    the order of the inner index; a column that no product reaches is left
+    out of its row.
+    """
     out = []
     for row in a:
-        if len(row) != len(b):
-            raise ValueError("shape mismatch in matrix product")
-        acc = [0] * len(b[0])
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for col, y in b_row:
-                    acc[col] += x * y
+        acc = {}
+        for i, x in row.items():
+            for col, y in b[i].items():
+                acc[col] = acc.get(col, 0) + x * y
         out.append(acc)
+    return out
+
+
+def matmul(a, b):
+    """a·b over the nonzero terms of both factors; an untouched entry is int 0."""
+    if not a or not b:
+        return []
+    _check_shapes(a, b)
+    out = []
+    for acc in _sparse_product(_nonzero_rows(a), _nonzero_rows(b)):
+        row = [0] * len(b[0])
+        for col, y in acc.items():
+            row[col] = y
+        out.append(row)
     return out
 
 
@@ -237,33 +260,39 @@ def rank(matrix, tol: float = DEFAULT_TOL, modulus: Optional[int] = None) -> int
     return _rank_svd(matrix, tol)
 
 
-def _rank_exact(matrix, modulus: Optional[int] = None) -> int:
+def _reduced(row: dict, modulus: Optional[int]) -> dict:
+    """The nonzero entries of a {column: entry} row, read in F_p under a modulus."""
     if modulus:
-        rows = [[x % modulus for x in row] for row in matrix]
-    else:
-        rows = [list(row) for row in matrix]
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:  # exact scalars are falsy exactly at zero
-                pivot_row = i
+        return {c: x % modulus for c, x in row.items() if x % modulus}
+    return {c: x for c, x in row.items() if x}
+
+
+def _rank_exact(matrix, modulus: Optional[int] = None) -> int:
+    """Rank by sparse, division-free elimination in the entries' own ring.
+
+    Rows are taken in turn, each kept as its nonzero entries, and reduced
+    against the pivot rows found so far, each filed under its last
+    nonzero column c: the row becomes pivot[c]*row - row[c]*pivot, which
+    clears column c and never divides.  A row left nonzero is the pivot
+    of its last column.  With a modulus the entries are read and kept in
+    F_p; otherwise they stay in Z, Q or Q(zeta_m), where exact scalars
+    are falsy exactly at zero.
+    """
+    pivots = {}
+    for row in _nonzero_rows(matrix):
+        row = _reduced(row, modulus)
+        while row:
+            c = max(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            a = rows[i][c]
-            if a:
-                # division-free update keeps every entry in the ring
-                row = [pivot * x - a * y for x, y in zip(rows[i], rows[r])]
-                rows[i] = [x % modulus for x in row] if modulus else row
-        r += 1
-        if r == len(rows):
-            break
-    return r
+            lead, a = pivot[c], row[c]
+            row = {j: lead * x for j, x in row.items()}
+            for j, y in pivot.items():
+                row[j] = row.get(j, 0) - a * y
+            row = _reduced(row, modulus)
+    return len(pivots)
 
 
 def _rank_svd(matrix, tol: float) -> int:
@@ -307,13 +336,22 @@ class GradedMatrixComplex:
         return []
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
+        """Refuse the family unless every composite D_(k+1) o D_k is zero.
+
+        Each composite is formed over the nonzero entries of both factors;
+        an entry no product reaches is zero in every backend.
+        """
+        m = self.modulus
+        rows = [_nonzero_rows(matrix) for matrix in self.matrices]
         for k in range(self.n - 1):
-            composite = matmul(self.matrices[k + 1], self.matrices[k])
-            if self.modulus:
-                composite = [[x % self.modulus for x in row] for row in composite]
-            if not matrix_is_zero(composite, tol):
-                raise NotAComplexError(
-                    "composite D_%d o D_%d is not zero" % (k + 1, k))
+            if not self.matrices[k + 1] or not self.matrices[k]:
+                continue
+            _check_shapes(self.matrices[k + 1], self.matrices[k])
+            for acc in _sparse_product(rows[k + 1], rows[k]):
+                if (any(x % m for x in acc.values()) if m else
+                        not all(scalar_is_zero(x, tol) for x in acc.values())):
+                    raise NotAComplexError(
+                        "composite D_%d o D_%d is not zero" % (k + 1, k))
 
 
 def koszul_complex(n: int, v: Sequence,

@@ -217,8 +217,9 @@ def weights(spin: SpinStructure, holonomy: HolonomyAssignment) -> WeightVector:
     """Per-generator weights of the minimal-disc coboundary."""
     if spin.n != holonomy.n:
         raise ValueError("spin rank %d != holonomy rank %d" % (spin.n, holonomy.n))
-    hs = holonomy.with_h0()
-    c = [simplify_exact(spin.eps[j] * hs[j]) for j in range(spin.n + 1)]
+    # eps_j = +-1, so c_j is h_j or its negation: no product is formed
+    c = [simplify_exact(h if e == 1 else -h)
+         for e, h in zip(spin.eps, holonomy.with_h0())]
     v = [simplify_exact(c[j] - c[0]) for j in range(1, spin.n + 1)]
     return WeightVector(c, v, exact=holonomy.exact)
 

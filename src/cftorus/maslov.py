@@ -159,8 +159,16 @@ def winding_number(samples, tol: float = DEFAULT_TOL,
         for k, x in enumerate(z):
             if not cmath.isfinite(x):
                 raise ValueError("curve sample %d is not finite: %r" % (k, x))
-    if min(map(abs, z)) < tol:
+    moduli = list(map(abs, z))
+    low = min(moduli)
+    if low < tol:
         raise ValueError("curve sample within %g of zero" % tol)
+    # complex division b / a cannot overflow while no modulus exceeds 1e300
+    # and the largest is within 1e300 of the smallest.  Past that a ratio
+    # can read 0 or nan, a wrong step whose sum may still be finite, so the
+    # steps are taken between the samples' unit directions, of equal phase.
+    if max(moduli) > 1e300 * min(low, 1.0):
+        z = [x / r for x, r in zip(z, moduli)]
     steps = [cmath.phase(b / a) for a, b in zip(z, z[1:] + z[:1])]
     worst = max(map(abs, steps))
     if worst >= step_limit:

@@ -476,6 +476,28 @@ def test_scan_golden_corpus(capsys, command, n, fmt, jobs):
     assert err == summary
 
 
+# full-size serial json digests, taken from the dense route before the sparse
+# elimination kernel replaced it; spin-scan 8 is also the benchmark's digest
+FULL_SIZE_GOLDEN = {
+    ("spin-scan", 7): (
+        "68bd97cddd6edd704f9490d5ec53093747de4d6b40244861e29bd97236fb4d3f",
+        "nonvanishing: 2 of 128 spin structures\n"),
+    ("spin-scan", 8): (
+        "28a51066fe4b6f0e7b0c3fc3732e84df14e1eea5cc3ab37d458113eb02bf821c",
+        "nonvanishing: 1 of 256 spin structures\n"),
+}
+
+
+@pytest.mark.parametrize("command,n", list(FULL_SIZE_GOLDEN),
+                         ids=["%s-%d" % key for key in FULL_SIZE_GOLDEN])
+def test_full_size_scan_golden(capsys, command, n):
+    digest, summary = FULL_SIZE_GOLDEN[command, n]
+    code, out, err = run_cli(capsys, [command, str(n)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == summary
+
+
 # the approximate hf path, pinned the same way; hf takes no --jobs, so these
 # rows carry their whole argv: (argv, stdout sha256, stderr)
 _H7 = ("-0.23279003514829782,-0.9725270173808306;0.5163846981207826,-0.85635672680648;"
@@ -612,6 +634,32 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, ["selftest"])
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv,source", [
+    # moduli 5 and 3 passed the unit-modulus check at --tol 100
+    (["hf", "--n", "2", "--holonomy", "5,0;3,0", "--tol", "100"], "--tol"),
+    (["hf", "--n", "2", "--tol", "1"], "--tol"),
+    (["spin-scan", "2", "--tol", "1.5"], "--tol"),
+    (["brane-scan", "2", "--tol", "1e300"], "--tol"),
+    (["selftest", "--tol", "1"], "--tol"),
+    (["spin-scan", "2"], "CF_TOL"),
+])
+def test_cell_commands_refuse_a_tolerance_of_one_or_more(capsys, monkeypatch,
+                                                         argv, source):
+    monkeypatch.setenv("CF_TOL", "100")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s must be below 1, got " % source)
+
+
+def test_tolerance_just_below_one_is_taken(capsys):
+    code, out, _ = run_cli(capsys, ["hf", "--n", "2", "--tol", "0.999"])
+    assert code == 0 and json.loads(out)["nonvanishing"] is True
+    # maslov-check keeps its own refusal, by the disc check that names the disc
+    code, _, err = run_cli(capsys, ["maslov-check", "--count", "1", "--tol", "1"])
+    assert code == 2 and "--tol 1): curve sample within 1 of zero" in err
 
 
 def test_tol_env_override(capsys, monkeypatch):

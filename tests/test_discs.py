@@ -312,6 +312,15 @@ def test_disc_equality_ignores_tol():
     assert len({loose, strict}) == 1
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_disc_refuses_a_tol_that_is_not_finite_and_positive(tol):
+    # a nan or negative tol let two coordinates share the zero 0.25j
+    shared = [BlaschkeComponent(0, (BlaschkeFactor(0.25j),))] * 2
+    with pytest.raises(ValueError) as info:
+        disc_make(shared, tol=tol)
+    assert str(info.value) == "disc tol must be a finite positive number, got %r" % tol
+
+
 def test_constructors_convert_their_fields():
     m = MoebiusMap(-1, 0.5)
     assert (m.theta, m.a) == (2 * math.pi - 1.0, 0.5 + 0j)

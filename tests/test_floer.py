@@ -37,7 +37,7 @@ from cftorus.floer import (
     standard_spin,
     weights,
 )
-from cftorus.scalars import ApproxComplex, prime_field, root_of_unity
+from cftorus.scalars import ApproxComplex, prime_field, root_of_unity, simplify_exact
 
 
 # -- spin structures -----------------------------------------------------------
@@ -152,6 +152,37 @@ def test_weights_single_twist():
     w = weights(SpinStructure.from_subset({1}, 2), HolonomyAssignment.trivial(2))
     assert w.c == (-1, -1, 1)
     assert w.v == (0, 2)
+
+
+def signed_product_weights(spin, holonomy):
+    # the weights as once built, with c_j formed as the product eps_j * h_j
+    hs = holonomy.with_h0()
+    c = [simplify_exact(spin.eps[j] * hs[j]) for j in range(spin.n + 1)]
+    v = [simplify_exact(c[j] - c[0]) for j in range(1, spin.n + 1)]
+    return WeightVector(c, v, exact=holonomy.exact)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_weights_equal_the_signed_products(n):
+    # c_j is built by flipping the sign of h_j; every spin structure, over
+    # random exact and approximate holonomies, gives the product's values
+    rng = random.Random("weights-%d" % n)
+    holonomies = [HolonomyAssignment.trivial(n)]
+    for _ in range(4):
+        holonomies.append(HolonomyAssignment.from_angles(
+            [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 5, 6, 12]))
+             for _ in range(n)]))
+        holonomies.append(HolonomyAssignment.from_values(
+            [cmath.exp(2j * math.pi * rng.random()) for _ in range(n)]))
+    for hol in holonomies:
+        for bits in range(1 << n):
+            spin = SpinStructure.from_subset(
+                [i + 1 for i in range(n) if bits >> i & 1], n)
+            got, want = weights(spin, hol), signed_product_weights(spin, hol)
+            assert got.exact == want.exact == hol.exact
+            assert list(got.c) == list(want.c) and list(got.v) == list(want.v)
+            if hol.exact:
+                assert list(map(type, got.c + got.v)) == list(map(type, want.c + want.v))
 
 
 # -- the coboundary ------------------------------------------------------------

@@ -160,6 +160,23 @@ def test_winding_of_finite_samples_whose_sum_overflows():
         assert winding_number(samples) == expected
 
 
+@pytest.mark.parametrize("count", [7, 16, 64])
+def test_winding_of_samples_near_the_top_of_the_float_range(count):
+    # b / a overflows inside complex division for these moduli: 16 samples
+    # read nan steps, and 7 read one ratio as 0j, a step of phase 0
+    for turns in (1, -2):
+        samples = [1.5e308 * cmath.rect(1.0, 0.3 + 2 * math.pi * turns * k / count)
+                   for k in range(count)]
+        assert winding_number(samples) == turns
+
+
+def test_winding_of_samples_whose_moduli_spread_past_the_float_range():
+    # a ratio 1e150 / 1e-200 is past the largest float
+    samples = [cmath.rect(1e150 if k % 2 else 1e-200, 2 * math.pi * k / 64)
+               for k in range(64)]
+    assert winding_number(samples, tol=1e-300) == 1
+
+
 def test_winding_rejects_coarse_steps():
     # degree 3 at 6 samples per turn puts steps at exactly pi
     t = np.arange(6) / 6
