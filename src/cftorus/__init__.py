@@ -4,18 +4,17 @@ Library layout:
 
 * :mod:`cftorus.scalars`  -- exact cyclotomic / tolerance-based complex backends
 * :mod:`cftorus.exterior` -- exterior algebra, wedge matrices, ranks
-* :mod:`cftorus.floer`    -- spin structures, holonomies, the coboundary, scans
+* :mod:`cftorus.floer`    -- spin structures, holonomies, the coboundary, scan cells
 * :mod:`cftorus.discs`    -- Blaschke-product discs and the point solver
 * :mod:`cftorus.maslov`   -- numeric winding-number Maslov indices
 * :mod:`cftorus.signs`    -- orientation sign conventions and their replays
 * :mod:`cftorus.oracle`   -- simplicial-cochain brute-force cross-checks
 * :mod:`cftorus.cli`      -- the ``cftorus`` command
 
-Only SVD rank, the numpy frame-stack API of :mod:`cftorus.maslov`
-(``LagrangianFrame``, ``FrameLoop``, ``b_map``, ``loop_maslov``) and
-``discs.disc_eval_boundary`` need numpy, and each imports it where it
-runs: exact computations and the disc path of ``maslov-check`` never
-load it.
+Only SVD rank and the numpy frame-stack API of :mod:`cftorus.maslov`
+(``LagrangianFrame``, ``FrameLoop``, ``b_map``, ``loop_maslov``) need
+numpy, and each imports it where it runs: exact computations and the
+disc path of ``maslov-check`` never load it.
 
 Every submodule, and every public name below, is imported on first
 access, so ``import cftorus`` runs none of them and ``maslov-check``
@@ -51,10 +50,9 @@ _LAZY = {
     **dict.fromkeys((
         "FullDifferential", "HolonomyAssignment", "HomotopyClass",
         "NovikovCochain", "RankTable", "SpinStructure", "WeightVector",
-        "brane_configs", "brane_scan", "brane_scan_cells", "delta2",
-        "dimension_deficit", "evaluate_cell", "floer_ranks_bruteforce",
-        "floer_ranks_closedform", "full_differential", "spin_configs",
-        "spin_scan", "standard_spin", "weights",
+        "brane_configs", "delta2", "dimension_deficit", "evaluate_cell",
+        "floer_ranks_bruteforce", "floer_ranks_closedform", "spin_configs",
+        "standard_spin", "weights",
     ), "floer"),
     "signs": "signs",
     **dict.fromkeys((

@@ -281,11 +281,11 @@ def _selftest_checks(tol: float):
     from fractions import Fraction
 
     from . import discs, maslov, oracle, signs
-    from .floer import WeightVector, floer_ranks_bruteforce, spin_scan
+    from .floer import WeightVector, brane_configs, floer_ranks_bruteforce, spin_configs
 
     def spin_dichotomy():
         for n in range(1, 5):
-            cells = spin_scan(n, tol)
+            cells = [evaluate_cell(spin, hol, tol) for spin, hol in spin_configs(n)]
             hits = [c for c in cells if c.table.nonvanishing]
             assert len(hits) == (2 if n % 2 else 1)
             for c in hits:
@@ -293,9 +293,8 @@ def _selftest_checks(tol: float):
                     comb(n, k) for k in range(n + 1))
 
     def brane_count():
-        from .floer import brane_scan
-
-        assert len(brane_scan(2, tol)) == 3
+        assert sum(evaluate_cell(spin, hol, tol).table.nonvanishing
+                   for spin, hol in brane_configs(2)) == 3
 
     def coboundary_squares_to_zero():
         rng = random.Random(7)

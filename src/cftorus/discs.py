@@ -224,15 +224,6 @@ def disc_eval(d: BlaschkeDisc, z: complex) -> Tuple[complex, ...]:
     return tuple(c.eval(z) for c in d.components)
 
 
-def disc_eval_boundary(d: BlaschkeDisc, num: int):
-    """(n+1) x num numpy array of coordinate values at num equispaced
-    boundary points."""
-    import numpy as np  # loaded here only: the disc path itself runs in cmath
-
-    z = np.exp(2j * np.pi * np.arange(num) / num)
-    return np.array([c.eval_many(z) for c in d.components], dtype=complex)
-
-
 def maslov_index(d: BlaschkeDisc) -> int:
     """Twice the total zero count across all coordinates."""
     return 2 * sum(d.mu)

@@ -219,24 +219,6 @@ def _sparse_product(a, b):
     return out
 
 
-def matmul(a, b):
-    """a·b over the nonzero terms of both factors; an untouched entry is int 0."""
-    if not a or not b:
-        return []
-    _check_shapes(a, b)
-    out = []
-    for acc in _sparse_product(_nonzero_rows(a), _nonzero_rows(b)):
-        row = [0] * len(b[0])
-        for col, y in acc.items():
-            row[col] = y
-        out.append(row)
-    return out
-
-
-def matrix_is_zero(matrix, tol: float = DEFAULT_TOL) -> bool:
-    return all(scalar_is_zero(x, tol) for row in matrix for x in row)
-
-
 def matrix_is_exact(matrix) -> bool:
     return all(is_exact_scalar(x) for row in matrix for x in row)
 

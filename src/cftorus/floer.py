@@ -32,7 +32,6 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .exterior import (
     ExteriorClass,
-    GradedMatrixComplex,
     cohomology_ranks,
     index_sets,
     koszul_complex,
@@ -109,8 +108,9 @@ class HolonomyAssignment:
     """Unit holonomies (h_1,..,h_n) with derived h_0 = (h_1 * .. * h_n)^-1.
 
     Exact assignments are built from rational angles p/q (fractions of a
-    full turn); approximate ones from complex values of unit modulus
-    within the tolerance, which also bounds |h_0 * h_1 * .. * h_n - 1|.
+    full turn) alone, so their values and labels cannot disagree;
+    approximate ones from complex values of unit modulus within the
+    tolerance, which also bounds |h_0 * h_1 * .. * h_n - 1|.
     """
 
     h: tuple
@@ -118,8 +118,21 @@ class HolonomyAssignment:
     angles: Optional[tuple]
     exact: bool
 
-    def __init__(self, h: Sequence, h0, angles: Optional[Sequence], exact: bool,
+    def __init__(self, h: Optional[Sequence] = None, h0=None,
+                 angles: Optional[Sequence] = None, exact: bool = False,
                  tol: float = DEFAULT_TOL):
+        if exact:
+            if h is not None or h0 is not None or angles is None:
+                raise ValueError("exact holonomies are built from their angles "
+                                 "alone; got h=%r, h0=%r, angles=%r" % (h, h0, angles))
+            angles = [Fraction(a) for a in angles]
+            h = [root_of_unity(a.numerator, a.denominator) for a in angles]
+            angle0 = -sum(angles, Fraction(0))
+            h0 = root_of_unity(angle0.numerator, angle0.denominator)
+            angles = [a - (a.numerator // a.denominator) for a in angles]
+        elif angles is not None:
+            raise ValueError("approximate holonomies carry no angles; got angles=%r"
+                             % (angles,))
         object.__setattr__(self, "h", tuple(h))
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "angles", tuple(angles) if angles is not None else None)
@@ -145,12 +158,7 @@ class HolonomyAssignment:
     @classmethod
     def from_angles(cls, angles: Sequence[Fraction]) -> "HolonomyAssignment":
         """Exact backend: h_j = exp(2*pi*i*angles[j])."""
-        angles = [Fraction(a) for a in angles]
-        values = [root_of_unity(a.numerator, a.denominator) for a in angles]
-        angle0 = -sum(angles, Fraction(0))
-        h0 = root_of_unity(angle0.numerator, angle0.denominator)
-        norm_angles = [a - (a.numerator // a.denominator) for a in angles]
-        return cls(values, h0, angles=norm_angles, exact=True)
+        return cls(angles=angles, exact=True)
 
     @classmethod
     def from_values(cls, values: Sequence, tol: float = DEFAULT_TOL) -> "HolonomyAssignment":
@@ -256,11 +264,6 @@ class RankTable:
         return any(r != 0 for r in self.by_lambda_degree)
 
 
-def floer_coboundary_complex(n: int, w: WeightVector) -> GradedMatrixComplex:
-    """Matrices of the coboundary in the index-set basis (global sign excluded)."""
-    return koszul_complex(n, list(w.v))
-
-
 def floer_ranks_bruteforce(n: int, w: WeightVector,
                            tol: float = DEFAULT_TOL) -> RankTable:
     """Ranks from the actual matrices of the coboundary.
@@ -272,12 +275,8 @@ def floer_ranks_bruteforce(n: int, w: WeightVector,
     """
     if w.n != n:
         raise ValueError("weight rank %d != n=%d" % (w.n, n))
-    if w.exact:
-        p, v = reduce_mod_p(w.v)
-        cx = koszul_complex(n, v, p)
-    else:
-        cx = floer_coboundary_complex(n, w)
-    return RankTable(n, tuple(cohomology_ranks(cx, tol)))
+    p, v = reduce_mod_p(w.v) if w.exact else (None, w.v)
+    return RankTable(n, tuple(cohomology_ranks(koszul_complex(n, v, p), tol)))
 
 
 def floer_ranks_closedform(n: int, w: WeightVector,
@@ -445,10 +444,6 @@ class FullDifferential:
         return self.weights.is_trivial(self.tol)
 
 
-def full_differential(n: int, w: WeightVector, tol: float = DEFAULT_TOL) -> FullDifferential:
-    return FullDifferential(n, w, tol)
-
-
 def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
     if parts == 1:
         yield (total,)
@@ -459,7 +454,7 @@ def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# scan drivers
+# scan cells and the enumerations the scans run over
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -519,19 +514,3 @@ def brane_configs(n: int) -> Iterator[Tuple[SpinStructure, HolonomyAssignment]]:
     spin = standard_spin(n)
     for ks in product(range(n + 1), repeat=n):
         yield spin, HolonomyAssignment.from_angles([Fraction(k, n + 1) for k in ks])
-
-
-def spin_scan(n: int, tol: float = DEFAULT_TOL):
-    """Rank tables for all 2^n spin structures under trivial holonomy."""
-    return [evaluate_cell(spin, hol, tol) for spin, hol in spin_configs(n)]
-
-
-def brane_scan_cells(n: int, tol: float = DEFAULT_TOL) -> Iterator[ScanCell]:
-    """Rank tables for all (n+1)^n root-of-unity holonomies, standard spin."""
-    return (evaluate_cell(spin, hol, tol) for spin, hol in brane_configs(n))
-
-
-def brane_scan(n: int, tol: float = DEFAULT_TOL):
-    """The holonomy assignments with nonvanishing cohomology."""
-    return [cell.holonomy for cell in brane_scan_cells(n, tol)
-            if cell.table.nonvanishing]

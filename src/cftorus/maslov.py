@@ -159,9 +159,17 @@ def winding_number(samples, tol: float = DEFAULT_TOL,
         for k, x in enumerate(z):
             if not cmath.isfinite(x):
                 raise ValueError("curve sample %d is not finite: %r" % (k, x))
-    moduli = list(map(abs, z))
+    scale = 1.0
+    try:
+        moduli = list(map(abs, z))
+    except OverflowError:
+        # a modulus past the float range: halving every sample is exact,
+        # keeps every phase and brings every modulus back within range
+        scale = 0.5
+        z = [x * scale for x in z]
+        moduli = list(map(abs, z))
     low = min(moduli)
-    if low < tol:
+    if low < tol * scale:
         raise ValueError("curve sample within %g of zero" % tol)
     # complex division b / a cannot overflow while no modulus exceeds 1e300
     # and the largest is within 1e300 of the smallest.  Past that a ratio

@@ -12,14 +12,13 @@ from fractions import Fraction
 from math import comb
 
 from cftorus.discs import disc_eval, maslov_index, random_disc, solve_disc_through_point
-from cftorus.exterior import matmul, rank, scalar_to_complex
+from cftorus.exterior import koszul_complex, rank, scalar_to_complex
 from cftorus.floer import (
     HolonomyAssignment,
-    WeightVector,
-    brane_scan_cells,
-    floer_coboundary_complex,
+    brane_configs,
+    evaluate_cell,
     floer_ranks_bruteforce,
-    spin_scan,
+    spin_configs,
     standard_spin,
     weights,
 )
@@ -27,6 +26,7 @@ from cftorus.maslov import disc_boundary_maslov
 from cftorus.oracle import koszul_rescale_check
 from cftorus.scalars import ApproxComplex, root_of_unity
 from cftorus.signs import boundary_fibre_signs, squarezero_chain
+from reference import reference_matmul
 
 
 def _report(label, budget_seconds, body):
@@ -45,7 +45,7 @@ def _report(label, budget_seconds, body):
 def test_criterion_1_spin_dichotomy():
     def body():
         for n in range(1, 7):
-            cells = spin_scan(n)
+            cells = [evaluate_cell(spin, hol) for spin, hol in spin_configs(n)]
             assert len(cells) == 2 ** n
             hits = [c for c in cells if c.table.nonvanishing]
             if n % 2 == 0:
@@ -68,7 +68,8 @@ def test_criterion_2_brane_count():
         for n in range(1, 5):
             total = 0
             hits = []
-            for cell in brane_scan_cells(n):
+            for spin, hol in brane_configs(n):
+                cell = evaluate_cell(spin, hol)
                 total += 1
                 assert cell.backend == "exact"
                 if cell.table.nonvanishing:
@@ -121,15 +122,15 @@ def test_criterion_5_coboundary_squares_to_zero():
             for _ in range(50):
                 v_exact = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                            for _ in range(n)]
-                cx = floer_coboundary_complex(n, WeightVector.from_vector(v_exact))
+                cx = koszul_complex(n, v_exact)
                 for k in range(n - 1):
-                    composite = matmul(cx.matrix(k + 1), cx.matrix(k))
+                    composite = reference_matmul(cx.matrix(k + 1), cx.matrix(k))
                     assert all(x == 0 for row in composite for x in row)
                 v_approx = [ApproxComplex(cmath.exp(2j * math.pi * rng.random()) - 1)
                             for _ in range(n)]
-                cx = floer_coboundary_complex(n, WeightVector.from_vector(v_approx))
+                cx = koszul_complex(n, v_approx)
                 for k in range(n - 1):
-                    composite = matmul(cx.matrix(k + 1), cx.matrix(k))
+                    composite = reference_matmul(cx.matrix(k + 1), cx.matrix(k))
                     assert all(abs(scalar_to_complex(x)) < 1e-12
                                for row in composite for x in row)
 
@@ -149,7 +150,7 @@ def test_criterion_6_oracle_equivalence():
                     v = [Fraction(rng.choice([x for x in range(-4, 5) if x]),
                                   rng.randint(1, 3)) for _ in range(n)]
                 assert koszul_rescale_check(n, v)
-                cx = floer_coboundary_complex(n, WeightVector.from_vector(v))
+                cx = koszul_complex(n, v)
                 for k in range(n):
                     assert rank(cx.matrix(k)) == comb(n - 1, k)
 

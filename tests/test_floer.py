@@ -13,8 +13,6 @@ from cftorus.exterior import (
     cohomology_ranks,
     index_sets,
     koszul_complex,
-    matmul,
-    matrix_is_zero,
 )
 from cftorus.floer import (
     FullDifferential,
@@ -24,20 +22,17 @@ from cftorus.floer import (
     SpinStructure,
     WeightVector,
     brane_configs,
-    brane_scan,
     delta2,
     dimension_deficit,
     evaluate_cell,
-    floer_coboundary_complex,
     floer_ranks_bruteforce,
     floer_ranks_closedform,
-    full_differential,
     spin_configs,
-    spin_scan,
     standard_spin,
     weights,
 )
 from cftorus.scalars import ApproxComplex, prime_field, root_of_unity, simplify_exact
+from reference import matrix_is_zero, reference_matmul
 
 
 # -- spin structures -----------------------------------------------------------
@@ -102,6 +97,24 @@ def test_holonomy_product_checked_at_the_callers_tolerance():
     with pytest.raises(ValueError, match="must be 1 within 1e-09"):
         HolonomyAssignment([one], off, angles=None, exact=False)
     assert HolonomyAssignment([one], off, angles=None, exact=False, tol=1e-6).h0 == off
+
+
+def test_exact_holonomies_are_built_from_their_angles_alone():
+    # values passed beside the angles could disagree with them: h = (1, 1)
+    # labelled 1/3, 0 once evaluated as a nonvanishing cell
+    with pytest.raises(ValueError, match=r"h=\[1, 1\], h0=1"):
+        HolonomyAssignment([1, 1], 1, angles=[Fraction(1, 3), Fraction(0)], exact=True)
+    with pytest.raises(ValueError, match="angles=None"):
+        HolonomyAssignment(exact=True)
+    with pytest.raises(ValueError, match=r"angles=\[Fraction\(0, 1\)\]"):
+        HolonomyAssignment([ApproxComplex(1.0)], ApproxComplex(1.0),
+                           angles=[Fraction(0)], exact=False)
+    direct = HolonomyAssignment(angles=[Fraction(4, 3), Fraction(0)], exact=True)
+    built = HolonomyAssignment.from_angles([Fraction(1, 3), Fraction(0)])
+    assert (direct.h, direct.h0, direct.angles) == (built.h, built.h0, built.angles)
+    cell = evaluate_cell(standard_spin(2), direct)
+    assert cell.to_json_dict()["holonomy"] == ["1/3", "0/1"]
+    assert cell.table.by_lambda_degree == (0, 0, 0)
 
 
 def test_from_values_sweep_returns_a_unit_product_or_refuses():
@@ -403,14 +416,14 @@ def test_homotopy_class_boundary_elimination():
 
 def test_full_differential_zero_operator_for_trivial_weights():
     w = weights(standard_spin(2), HolonomyAssignment.trivial(2))
-    op = full_differential(2, w)
+    op = FullDifferential(2, w)
     assert op.is_zero_operator()
     assert op.apply_class(ExteriorClass.unit(2)).is_zero()
 
 
 def test_full_differential_square_zero_and_e_exponent():
     w = WeightVector.from_vector([0, 2])
-    op = full_differential(2, w)
+    op = FullDifferential(2, w)
     assert not op.is_zero_operator()
     assert FullDifferential.e_exponent == 1
     image = op.apply_class(ExteriorClass.unit(2))
@@ -420,7 +433,7 @@ def test_full_differential_square_zero_and_e_exponent():
 
 def test_full_differential_shifts_exponent_by_one():
     w = WeightVector.from_vector([1, 0, 0])
-    op = full_differential(3, w)
+    op = FullDifferential(3, w)
     start = NovikovCochain.from_class(ExteriorClass.generator(3, 2), exp=2)
     out = op.apply(start)
     assert set(out.parts) == {3}
@@ -428,34 +441,44 @@ def test_full_differential_shifts_exponent_by_one():
 
 # -- scans -----------------------------------------------------------------------
 
+def spin_cells(n):
+    return [evaluate_cell(spin, hol) for spin, hol in spin_configs(n)]
+
+
+def brane_hits(n):
+    # the holonomies of the nonvanishing cells of the brane enumeration
+    return [hol for spin, hol in brane_configs(n)
+            if evaluate_cell(spin, hol).table.nonvanishing]
+
+
 def test_spin_scan_n2_only_standard_survives():
-    hits = [c for c in spin_scan(2) if c.table.nonvanishing]
+    hits = [c for c in spin_cells(2) if c.table.nonvanishing]
     assert len(hits) == 1 and hits[0].spin.is_standard()
 
 
 def test_spin_scan_n3_standard_and_all_twisted():
-    hits = {c.spin.eps for c in spin_scan(3) if c.table.nonvanishing}
+    hits = {c.spin.eps for c in spin_cells(3) if c.table.nonvanishing}
     assert hits == {(1, 1, 1, 1), (-1, -1, -1, -1)}
 
 
 def test_spin_scan_n1_both_structures_survive():
-    assert sum(c.table.nonvanishing for c in spin_scan(1)) == 2
+    assert sum(c.table.nonvanishing for c in spin_cells(1)) == 2
 
 
 def test_brane_scan_small_counts():
-    assert len(brane_scan(1)) == 2
-    assert len(brane_scan(2)) == 3
-    assert len(brane_scan(3)) == 4
+    assert len(brane_hits(1)) == 2
+    assert len(brane_hits(2)) == 3
+    assert len(brane_hits(3)) == 4
 
 
 def test_brane_scan_n1_values_are_plus_minus_one():
-    as_angles = {hol.angles for hol in brane_scan(1)}
+    as_angles = {hol.angles for hol in brane_hits(1)}
     assert as_angles == {(Fraction(0),), (Fraction(1, 2),)}
 
 
 def test_brane_scan_hits_are_exactly_constant_tuples():
     for n in (2, 3):
-        hits = brane_scan(n)
+        hits = brane_hits(n)
         assert len(hits) == n + 1
         for hol in hits:
             assert len(set(hol.angles)) == 1
@@ -480,9 +503,10 @@ def test_evaluate_cell_approx_backend_label():
 def test_coboundary_complex_composites_vanish_for_unit_weights():
     hol = HolonomyAssignment.from_values([complex(0.28, 0.96), complex(0, 1)])
     w = weights(standard_spin(2), hol)
-    cx = floer_coboundary_complex(2, w)
+    cx = koszul_complex(2, w.v)
     for k in range(1):
-        assert matrix_is_zero(matmul(cx.matrix(k + 1), cx.matrix(k)), tol=1e-12)
+        composite = reference_matmul(cx.matrix(k + 1), cx.matrix(k))
+        assert matrix_is_zero(composite, tol=1e-12)
 
 
 # -- value types -------------------------------------------------------------------

