@@ -128,10 +128,6 @@ class BlaschkeFactor(_Frozen):
     def eval(self, z: complex) -> complex:
         return (z - self.alpha) / (1.0 - self.alpha.conjugate() * z)
 
-    def eval_many(self, z: Sequence[complex]) -> List[complex]:
-        alpha, conj = self.alpha, self.alpha.conjugate()
-        return [(x - alpha) / (1.0 - conj * x) for x in z]
-
     def same_zero(self, other: "BlaschkeFactor", tol: float) -> bool:
         if self.exact is not None and other.exact is not None:
             return self.exact == other.exact

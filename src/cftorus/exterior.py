@@ -163,17 +163,17 @@ class ExteriorClass:
 # matrices in the lexicographic index-set basis (row-major list of rows)
 # ---------------------------------------------------------------------------
 
-def wedge_by_vector(n: int, v: Sequence, k: int):
-    """Matrix of (v_1 L_1 + .. + v_n L_n) ^ -  from degree k to degree k+1.
+def wedge_by_vector(v: Sequence, k: int):
+    """Matrix of (v_1 L_1 + .. + v_n L_n) ^ -  from degree k to k+1, n = len(v).
 
-    Column at basis element I holds sum_j v_j * insert_sign(j, I).  The
-    global coboundary sign (-1)^n is *not* included here; it never moves
-    ranks and is applied by callers that print coboundary values.
+    Column at basis element I holds sum_j v_j * insert_sign(j, I), the
+    sign flipping at each member of I passed.  The global coboundary sign
+    (-1)^n is *not* included here; it never moves ranks and is applied by
+    callers that print coboundary values.
     """
+    n = len(v)
     if not 0 <= k <= n:
         raise ValueError("degree k=%d out of range 0..%d" % (k, n))
-    if len(v) != n:
-        raise ValueError("expected %d vector entries, got %d" % (n, len(v)))
     rows = index_sets(n, k + 1)
     cols = index_sets(n, k)
     if not rows:
@@ -181,15 +181,13 @@ def wedge_by_vector(n: int, v: Sequence, k: int):
     pos = _basis_positions(n, k + 1)
     matrix = [[0] * len(cols) for _ in rows]
     for col, I in enumerate(cols):
+        sign, below = 1, 0
         for j in range(1, n + 1):
-            sign, J = insert_sign(j, I, n)
-            if sign:
-                matrix[pos[J]][col] = sign * v[j - 1]
+            if below < k and I[below] == j:
+                sign, below = -sign, below + 1
+            else:
+                matrix[pos[I[:below] + (j,) + I[below:]]][col] = sign * v[j - 1]
     return matrix
-
-
-def matrix_scale(scalar, matrix):
-    return [[scalar * x for x in row] for row in matrix]
 
 
 def _nonzero_rows(matrix):
@@ -280,22 +278,24 @@ def _rank_exact(matrix, modulus: Optional[int] = None) -> int:
 def _rank_svd(matrix, tol: float) -> int:
     import numpy as np  # only the approximate backend needs numpy
 
-    arr = np.array([[scalar_to_complex(x) for x in row] for row in matrix],
-                   dtype=complex)
-    if arr.size == 0:
-        return 0
+    # only structural zeros (int 0) are skipped: None still raises TypeError
+    arr = np.zeros((len(matrix), len(matrix[0])), dtype=complex)
+    for r, row in enumerate(matrix):
+        for c, x in enumerate(row):
+            if x.__class__ is not int or x:
+                arr[r, c] = scalar_to_complex(x)
     sv = np.linalg.svd(arr, compute_uv=False)
     # entries are O(1) by construction, so a largest singular value below
     # tol means the matrix is zero at tolerance; without this floor the
     # relative cutoff would read noise as rank
-    if sv.size == 0 or sv[0] <= tol:
+    if sv[0] <= tol:
         return 0
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 
 @dataclass(frozen=True)
 class GradedMatrixComplex:
-    """Per-degree matrices D_k: degree k -> degree k+1, k = 0..n-1.
+    """Per-degree matrices D_k: degree k -> k+1, k = 0..n-1, n = len(matrices).
 
     D_n (into the zero group) is implicitly zero.  The defining invariant
     is that consecutive composites vanish; `validate` checks it and
@@ -304,13 +304,12 @@ class GradedMatrixComplex:
     and the ranks are taken there.
     """
 
-    n: int
     matrices: tuple
     modulus: Optional[int] = None
 
-    def __post_init__(self):
-        if len(self.matrices) != self.n:
-            raise ValueError("expected %d matrices D_0..D_%d" % (self.n, self.n - 1))
+    @property
+    def n(self) -> int:
+        return len(self.matrices)
 
     def matrix(self, k: int):
         if 0 <= k < self.n:
@@ -336,14 +335,13 @@ class GradedMatrixComplex:
                         "composite D_%d o D_%d is not zero" % (k + 1, k))
 
 
-def koszul_complex(n: int, v: Sequence,
-                   modulus: Optional[int] = None) -> GradedMatrixComplex:
-    """The wedge-by-v family on the exterior algebra of rank n.
+def koszul_complex(v: Sequence, modulus: Optional[int] = None) -> GradedMatrixComplex:
+    """The wedge-by-v family on the exterior algebra of rank len(v).
 
     With a prime modulus, v holds residues mod it and the family is over F_p.
     """
     return GradedMatrixComplex(
-        n, tuple(wedge_by_vector(n, v, k) for k in range(n)), modulus)
+        tuple(wedge_by_vector(v, k) for k in range(len(v))), modulus)
 
 
 def cohomology_ranks(cx: GradedMatrixComplex, tol: float = DEFAULT_TOL):

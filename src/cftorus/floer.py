@@ -107,40 +107,37 @@ def standard_spin(n: int) -> SpinStructure:
 class HolonomyAssignment:
     """Unit holonomies (h_1,..,h_n) with derived h_0 = (h_1 * .. * h_n)^-1.
 
-    Exact assignments are built from rational angles p/q (fractions of a
-    full turn) alone, so their values and labels cannot disagree;
-    approximate ones from complex values of unit modulus within the
-    tolerance, which also bounds |h_0 * h_1 * .. * h_n - 1|.
+    An assignment is exact exactly when it is built from rational angles
+    p/q (fractions of a full turn), and then from them alone, so its
+    values and labels cannot disagree.  Approximate ones take complex
+    values h, h0 of unit modulus within the tolerance, which also bounds
+    |h_0 * h_1 * .. * h_n - 1|.
     """
 
     h: tuple
     h0: object
     angles: Optional[tuple]
-    exact: bool
 
     def __init__(self, h: Optional[Sequence] = None, h0=None,
-                 angles: Optional[Sequence] = None, exact: bool = False,
-                 tol: float = DEFAULT_TOL):
-        if exact:
-            if h is not None or h0 is not None or angles is None:
-                raise ValueError("exact holonomies are built from their angles "
-                                 "alone; got h=%r, h0=%r, angles=%r" % (h, h0, angles))
+                 angles: Optional[Sequence] = None, tol: float = DEFAULT_TOL):
+        given = (h is not None, h0 is not None, angles is not None)
+        if given not in ((False, False, True), (True, True, False)):
+            raise ValueError("holonomies are built from angles alone or from "
+                             "values h and h0 alone; got h=%r, h0=%r, angles=%r"
+                             % (h, h0, angles))
+        if angles is not None:
             angles = [Fraction(a) for a in angles]
             h = [root_of_unity(a.numerator, a.denominator) for a in angles]
             angle0 = -sum(angles, Fraction(0))
             h0 = root_of_unity(angle0.numerator, angle0.denominator)
             angles = [a - (a.numerator // a.denominator) for a in angles]
-        elif angles is not None:
-            raise ValueError("approximate holonomies carry no angles; got angles=%r"
-                             % (angles,))
         object.__setattr__(self, "h", tuple(h))
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "angles", tuple(angles) if angles is not None else None)
-        object.__setattr__(self, "exact", exact)
         prod = h0
         for x in self.h:
             prod = prod * x
-        if exact:
+        if self.exact:
             if prod != 1:
                 raise ValueError("holonomy product h_0 * h_1 * .. * h_n must be 1")
         elif not abs(scalar_to_complex(prod) - 1.0) <= tol:
@@ -151,6 +148,10 @@ class HolonomyAssignment:
     def n(self) -> int:
         return len(self.h)
 
+    @property
+    def exact(self) -> bool:
+        return self.angles is not None
+
     @classmethod
     def trivial(cls, n: int) -> "HolonomyAssignment":
         return cls.from_angles([Fraction(0)] * n)
@@ -158,7 +159,7 @@ class HolonomyAssignment:
     @classmethod
     def from_angles(cls, angles: Sequence[Fraction]) -> "HolonomyAssignment":
         """Exact backend: h_j = exp(2*pi*i*angles[j])."""
-        return cls(angles=angles, exact=True)
+        return cls(angles=angles)
 
     @classmethod
     def from_values(cls, values: Sequence, tol: float = DEFAULT_TOL) -> "HolonomyAssignment":
@@ -173,7 +174,7 @@ class HolonomyAssignment:
         for z in vals:
             prod *= complex(z)
         h0 = ApproxComplex(1.0 / prod)
-        return cls(vals, h0, angles=None, exact=False, tol=tol)
+        return cls(vals, h0, tol=tol)
 
     def with_h0(self) -> Tuple:
         """(h_0, h_1, .., h_n)."""
@@ -190,18 +191,17 @@ class HolonomyAssignment:
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class WeightVector:
-    """Combined spin/holonomy weights c_j = eps_j * h_j and v_j = c_j - c_0."""
+    """Combined spin/holonomy weights c_j = eps_j * h_j and v_j = c_j - c_0,
+    exact when every v_j is."""
 
     c: tuple
     v: tuple
     exact: bool
 
-    def __init__(self, c: Sequence, v: Sequence, exact: Optional[bool] = None):
+    def __init__(self, c: Sequence, v: Sequence):
         object.__setattr__(self, "c", tuple(c))
         object.__setattr__(self, "v", tuple(v))
-        if exact is None:
-            exact = all(is_exact_scalar(x) for x in self.v)
-        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "exact", all(is_exact_scalar(x) for x in self.v))
         if len(self.c) != len(self.v) + 1:
             raise ValueError("need one more c entry than v entries")
 
@@ -229,7 +229,7 @@ def weights(spin: SpinStructure, holonomy: HolonomyAssignment) -> WeightVector:
     c = [simplify_exact(h if e == 1 else -h)
          for e, h in zip(spin.eps, holonomy.with_h0())]
     v = [simplify_exact(c[j] - c[0]) for j in range(1, spin.n + 1)]
-    return WeightVector(c, v, exact=holonomy.exact)
+    return WeightVector(c, v)
 
 
 def delta2(x: ExteriorClass, w: WeightVector, tol: float = DEFAULT_TOL) -> ExteriorClass:
@@ -252,8 +252,11 @@ class RankTable:
     the table by cochain degree.
     """
 
-    n: int
     by_lambda_degree: Tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.by_lambda_degree) - 1
 
     @property
     def by_cochain_degree(self) -> Tuple[int, ...]:
@@ -264,8 +267,7 @@ class RankTable:
         return any(r != 0 for r in self.by_lambda_degree)
 
 
-def floer_ranks_bruteforce(n: int, w: WeightVector,
-                           tol: float = DEFAULT_TOL) -> RankTable:
+def floer_ranks_bruteforce(w: WeightVector, tol: float = DEFAULT_TOL) -> RankTable:
     """Ranks from the actual matrices of the coboundary.
 
     Exact weights are taken to F_p by `reduce_mod_p`, which keeps every
@@ -273,20 +275,16 @@ def floer_ranks_bruteforce(n: int, w: WeightVector,
     exact over any field and wedging by zero is the zero map, so the
     F_p table equals the table over Q(zeta_m).
     """
-    if w.n != n:
-        raise ValueError("weight rank %d != n=%d" % (w.n, n))
     p, v = reduce_mod_p(w.v) if w.exact else (None, w.v)
-    return RankTable(n, tuple(cohomology_ranks(koszul_complex(n, v, p), tol)))
+    return RankTable(tuple(cohomology_ranks(koszul_complex(v, p), tol)))
 
 
-def floer_ranks_closedform(n: int, w: WeightVector,
-                           tol: float = DEFAULT_TOL) -> RankTable:
+def floer_ranks_closedform(w: WeightVector, tol: float = DEFAULT_TOL) -> RankTable:
     """Binomial ranks when the weight vector vanishes, zero otherwise."""
-    if w.n != n:
-        raise ValueError("weight rank %d != n=%d" % (w.n, n))
+    n = w.n
     if w.is_trivial(tol):
-        return RankTable(n, tuple(comb(n, k) for k in range(n + 1)))
-    return RankTable(n, (0,) * (n + 1))
+        return RankTable(tuple(comb(n, k) for k in range(n + 1)))
+    return RankTable((0,) * (n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +397,8 @@ class FullDifferential:
 
     e_exponent = 1
 
-    def __init__(self, n: int, w: WeightVector, tol: float = DEFAULT_TOL):
-        if w.n != n:
-            raise ValueError("weight rank %d != n=%d" % (w.n, n))
-        self.n = n
+    def __init__(self, w: WeightVector, tol: float = DEFAULT_TOL):
+        self.n = w.n
         self.weights = w
         self.tol = tol
         self._verify_truncation()
@@ -437,12 +433,6 @@ class FullDifferential:
                 out[key] = out[key] + image if key in out else image
         return NovikovCochain(self.n, out)
 
-    def apply_class(self, x: ExteriorClass) -> NovikovCochain:
-        return self.apply(NovikovCochain.from_class(x))
-
-    def is_zero_operator(self) -> bool:
-        return self.weights.is_trivial(self.tol)
-
 
 def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
     if parts == 1:
@@ -461,11 +451,17 @@ def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
 class ScanCell:
     """One (spin, holonomy) configuration with its computed rank table."""
 
-    n: int
     spin: SpinStructure
     holonomy: HolonomyAssignment
     table: RankTable
-    backend: str
+
+    @property
+    def n(self) -> int:
+        return self.spin.n
+
+    @property
+    def backend(self) -> str:
+        return "exact" if self.holonomy.exact else "approx"
 
     def to_json_dict(self) -> dict:
         return {
@@ -482,8 +478,8 @@ class ScanCell:
 def evaluate_cell(spin: SpinStructure, holonomy: HolonomyAssignment,
                   tol: float = DEFAULT_TOL) -> ScanCell:
     w = weights(spin, holonomy)
-    table = floer_ranks_bruteforce(spin.n, w, tol)
-    check = floer_ranks_closedform(spin.n, w, tol)
+    table = floer_ranks_bruteforce(w, tol)
+    check = floer_ranks_closedform(w, tol)
     if table != check:
         if w.exact:
             raise AssertionError(
@@ -493,8 +489,7 @@ def evaluate_cell(spin: SpinStructure, holonomy: HolonomyAssignment,
             "holonomy lies within tolerance of a vanishing transition "
             "(brute-force %r vs closed-form %r); adjust the tolerance"
             % (table.by_lambda_degree, check.by_lambda_degree))
-    return ScanCell(spin.n, spin, holonomy, table,
-                    "exact" if w.exact else "approx")
+    return ScanCell(spin, holonomy, table)
 
 
 def spin_configs(n: int) -> Iterator[Tuple[SpinStructure, HolonomyAssignment]]:

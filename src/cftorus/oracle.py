@@ -21,7 +21,6 @@ from typing import Dict
 from .exterior import (
     IndexSet,
     index_sets,
-    matrix_scale,
     rank,
     validate_index_set,
     wedge_by_vector,
@@ -100,29 +99,28 @@ def solve_cocycle(a: CochainAssignment, tol: float = DEFAULT_TOL) -> CochainAssi
         for I in index_sets(a.n, a.k - 1)})
 
 
-def koszul_rescale_check(n: int, w, tol: float = DEFAULT_TOL) -> bool:
+def koszul_rescale_check(w, tol: float = DEFAULT_TOL) -> bool:
     """Conjugate the weighted coboundary into the bare simplex coboundary.
 
-    Requires every weight v_j nonzero.  For each degree k the matrix of
-    the full coboundary (including its global (-1)**n) rescaled by
-    diag(prod_(i in I) v_i) must equal (-1)**n times `simplex_coboundary`.
-    Weight vectors with some zero entries are out of scope here; their
-    vanishing is covered by the brute-force rank computation directly.
+    `w` is a weight vector or its n weights, every one nonzero.  For each
+    degree k the wedge matrix rescaled by diag(prod_(i in I) v_i) must
+    equal `simplex_coboundary` (both sides of the full coboundary's check
+    carry the same (-1)**n).  Weight vectors with some zero entries are
+    out of scope here; their vanishing is covered by the brute-force rank
+    computation directly.
     """
     v = list(w.v) if hasattr(w, "v") else list(w)
-    if len(v) != n:
-        raise ValueError("expected %d weights, got %d" % (n, len(v)))
+    n = len(v)
     bad = [j + 1 for j, vj in enumerate(v) if scalar_is_zero(vj, tol)]
     if bad:
         raise ValueError("every weight must be nonzero, got v_j = 0 at %s" % (bad,))
-    global_sign = (-1) ** (n % 2)
     scale = {(): 1}
     for k in range(n):
         for I in index_sets(n, k + 1):
             scale[I] = scale[I[:-1]] * v[I[-1] - 1]
     for k in range(n):
-        delta = matrix_scale(global_sign, wedge_by_vector(n, v, k))
-        expected = matrix_scale(global_sign, simplex_coboundary(n, k))
+        delta = wedge_by_vector(v, k)
+        expected = simplex_coboundary(n, k)
         rows = index_sets(n, k + 1)
         cols = index_sets(n, k)
         for r, J in enumerate(rows):
@@ -139,17 +137,19 @@ def simplex_rank_profile(n: int, tol: float = DEFAULT_TOL):
     return [rank(simplex_coboundary(n, k), tol) for k in range(n)]
 
 
-def weighted_cocycle_preimage(n: int, v, target: CochainAssignment,
+def weighted_cocycle_preimage(v, target: CochainAssignment,
                               tol: float = DEFAULT_TOL) -> CochainAssignment:
     """Explicit preimage of a weighted-coboundary cocycle, degree k >= 1.
 
-    Requires every weight nonzero.  Divides the target by the weight
-    products, solves the resulting bare simplex cocycle, and scales the
-    solution back (with the global parity sign), so that the weighted
-    coboundary of the result reproduces the target -- the constructive
-    half of kernel = image.
+    Requires one nonzero weight per generator of the target's rank.
+    Divides the target by the weight products, solves the resulting bare
+    simplex cocycle, and scales the solution back (with the global parity
+    sign), so that the weighted coboundary of the result reproduces the
+    target -- the constructive half of kernel = image.
     """
-    v = list(v)
+    v, n = list(v), target.n
+    if len(v) != n:
+        raise ValueError("got %d weights for a target of rank %d" % (len(v), n))
     bad = [j + 1 for j, vj in enumerate(v) if scalar_is_zero(vj, tol)]
     if bad:
         raise ValueError("every weight must be nonzero, got v_j = 0 at %s" % (bad,))

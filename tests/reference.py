@@ -7,7 +7,8 @@ same answer.
 
 import numpy as np
 
-from cftorus.scalars import DEFAULT_TOL, scalar_is_zero
+from cftorus.exterior import _basis_positions, index_sets, insert_sign
+from cftorus.scalars import DEFAULT_TOL, scalar_is_zero, scalar_to_complex
 
 
 def reference_matmul(a, b):
@@ -32,3 +33,36 @@ def disc_eval_boundary(d, num):
     equispaced boundary points."""
     z = np.exp(2j * np.pi * np.arange(num) / num)
     return np.array([c.eval_many(z) for c in d.components], dtype=complex)
+
+
+def reference_wedge_by_vector(n, v, k):
+    """The wedge-by-v matrix from degree k to k+1, one insert_sign call per
+    (generator, column) pair."""
+    if not 0 <= k <= n:
+        raise ValueError("degree k=%d out of range 0..%d" % (k, n))
+    if len(v) != n:
+        raise ValueError("expected %d vector entries, got %d" % (n, len(v)))
+    rows = index_sets(n, k + 1)
+    cols = index_sets(n, k)
+    if not rows:
+        return []
+    pos = _basis_positions(n, k + 1)
+    matrix = [[0] * len(cols) for _ in rows]
+    for col, I in enumerate(cols):
+        for j in range(1, n + 1):
+            sign, J = insert_sign(j, I, n)
+            if sign:
+                matrix[pos[J]][col] = sign * v[j - 1]
+    return matrix
+
+
+def reference_rank_svd(matrix, tol):
+    """Singular-value rank of an array built by converting every entry."""
+    arr = np.array([[scalar_to_complex(x) for x in row] for row in matrix],
+                   dtype=complex)
+    if arr.size == 0:
+        return 0
+    sv = np.linalg.svd(arr, compute_uv=False)
+    if sv.size == 0 or sv[0] <= tol:
+        return 0
+    return int(np.count_nonzero(sv > tol * sv[0]))

@@ -96,7 +96,7 @@ def test_criterion_3_generic_vanishing():
                 if w.is_trivial(1e-9):  # all c_j equal; not a generic draw
                     continue
                 produced += 1
-                table = floer_ranks_bruteforce(n, w, tol=1e-9)
+                table = floer_ranks_bruteforce(w, tol=1e-9)
                 assert table.by_lambda_degree == (0,) * (n + 1)
                 zero_tables += 1
         assert zero_tables == 400
@@ -122,13 +122,13 @@ def test_criterion_5_coboundary_squares_to_zero():
             for _ in range(50):
                 v_exact = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                            for _ in range(n)]
-                cx = koszul_complex(n, v_exact)
+                cx = koszul_complex(v_exact)
                 for k in range(n - 1):
                     composite = reference_matmul(cx.matrix(k + 1), cx.matrix(k))
                     assert all(x == 0 for row in composite for x in row)
                 v_approx = [ApproxComplex(cmath.exp(2j * math.pi * rng.random()) - 1)
                             for _ in range(n)]
-                cx = koszul_complex(n, v_approx)
+                cx = koszul_complex(v_approx)
                 for k in range(n - 1):
                     composite = reference_matmul(cx.matrix(k + 1), cx.matrix(k))
                     assert all(abs(scalar_to_complex(x)) < 1e-12
@@ -149,8 +149,8 @@ def test_criterion_6_oracle_equivalence():
                 else:
                     v = [Fraction(rng.choice([x for x in range(-4, 5) if x]),
                                   rng.randint(1, 3)) for _ in range(n)]
-                assert koszul_rescale_check(n, v)
-                cx = koszul_complex(n, v)
+                assert koszul_rescale_check(v)
+                cx = koszul_complex(v)
                 for k in range(n):
                     assert rank(cx.matrix(k)) == comb(n - 1, k)
 

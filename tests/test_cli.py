@@ -1,7 +1,10 @@
 import ast
 import cmath
 import concurrent.futures
+import csv
 import hashlib
+import inspect
+import io
 import json
 import math
 import os
@@ -554,6 +557,111 @@ def test_public_names_still_resolve():
     assert cftorus.winding_number is cftorus.maslov.winding_number
     with pytest.raises(AttributeError, match="no_such_name"):
         cftorus.no_such_name
+#: every public callable's parameters, defaults included, with annotations
+#: left out; None for exception classes, which take the builtin's arguments.
+#: A signature change has to edit this table.
+PUBLIC_SIGNATURES = {
+    'ApproxComplex': '(real=0.0, imag=0.0)',
+    'BlaschkeComponent': '(theta=0.0, factors=())',
+    'BlaschkeDisc': '(components, tol=1e-09)',
+    'BlaschkeFactor': '(alpha, exact=None)',
+    'ChartError': None,
+    'CochainAssignment': '(n, k, values)',
+    'Cyclotomic': '(order, coeffs)',
+    'DegenerateDiscError': None,
+    'ExteriorClass': '(n, terms=None, tol=1e-09)',
+    'FrameError': None,
+    'FrameLoop': '(frames)',
+    'FullDifferential': '(w, tol=1e-09)',
+    'GradedMatrixComplex': '(matrices, modulus=None)',
+    'HolonomyAssignment': '(h=None, h0=None, angles=None, tol=1e-09)',
+    'HomotopyClass': '(mu)',
+    'LagrangianFrame': '(matrix, tol=1e-09)',
+    'MoebiusMap': '(theta=0.0, a=0j)',
+    'NotACocycleError': '(violations)',
+    'NotAComplexError': None,
+    'NovikovCochain': '(n, parts=None, tol=1e-09)',
+    'OrientedFactor': '(label, dim)',
+    'OrientedFactorization': '(factors, sign=1)',
+    'RankTable': '(by_lambda_degree)',
+    'SpinStructure': '(eps)',
+    'UndersampledLoopError': None,
+    'WeightVector': '(c, v)',
+    'b_map': '(frame, tol=1e-09)',
+    'boundary_fibre_signs': '(x, l)',
+    'brane_configs': '(n)',
+    'cohomology_ranks': '(cx, tol=1e-09)',
+    'delta2': '(x, w, tol=1e-09)',
+    'dimension_deficit': '(b)',
+    'disc_boundary_maslov': '(d, tol=1e-09, samples=256, max_samples=16384)',
+    'disc_eval': '(d, z)',
+    'disc_make': '(components, tol=1e-09)',
+    'evaluate_cell': '(spin, holonomy, tol=1e-09)',
+    'evaluation_orientation_sign': '()',
+    'fibre_product_sign': '(x, l, p)',
+    'floer_ranks_bruteforce': '(w, tol=1e-09)',
+    'floer_ranks_closedform': '(w, tol=1e-09)',
+    'gluing_sign': '(dim_l)',
+    'homotopy_class': '(d)',
+    'index_sets': '(n, k)',
+    'insert_sign': '(j, I, n=None)',
+    'koszul_complex': '(v, modulus=None)',
+    'koszul_rescale_check': '(w, tol=1e-09)',
+    'loop_maslov': '(loop, tol=1e-09, step_limit=3.141592653589793)',
+    'maslov_index': '(d)',
+    'moduli_dim': '(n, mu, marked_points=2)',
+    'permute_sign': '(f, perm)',
+    'psl2_act': '(d, phi, tol=1e-09)',
+    'rank': '(matrix, tol=1e-09, modulus=None)',
+    'root_of_unity': '(p, q)',
+    'scalar_is_zero': '(x, tol=1e-09)',
+    'simplex_coboundary': '(n, k)',
+    'solve_cocycle': '(a, tol=1e-09)',
+    'solve_disc_through_point': '(class_index, target, tol=1e-09)',
+    'spin_configs': '(n)',
+    'squarezero_chain': '(n, mu_a)',
+    'standard_spin': '(n)',
+    'wedge_by_vector': '(v, k)',
+    'weights': '(spin, holonomy)',
+    'winding_number': '(samples, tol=1e-09, step_limit=3.141592653589793, residue_limit=0.1)',
+}
+
+
+def plain_signature(obj):
+    try:
+        sig = inspect.signature(obj)
+    except ValueError:
+        return None
+    empty = inspect.Parameter.empty
+    return str(sig.replace(
+        parameters=[p.replace(annotation=empty) for p in sig.parameters.values()],
+        return_annotation=empty))
+
+
+def test_public_signatures_are_pinned():
+    import cftorus
+
+    callables = {name: getattr(cftorus, name) for name in cftorus.__all__
+                 if callable(getattr(cftorus, name))
+                 and not inspect.ismodule(getattr(cftorus, name))}
+    assert {name: plain_signature(obj) for name, obj in callables.items()} == \
+        PUBLIC_SIGNATURES
+
+
+def test_sizes_and_backends_are_not_parameters():
+    # each of these reads n from its data and exactness from its entries
+    from cftorus import exterior, oracle
+
+    for obj in (exterior.wedge_by_vector, exterior.koszul_complex,
+                exterior.GradedMatrixComplex, floer.floer_ranks_bruteforce,
+                floer.floer_ranks_closedform, floer.FullDifferential,
+                floer.RankTable, floer.ScanCell, floer.WeightVector,
+                floer.HolonomyAssignment, oracle.koszul_rescale_check,
+                oracle.weighted_cocycle_preimage):
+        params = inspect.signature(obj).parameters
+        assert not {"n", "exact"} & set(params), (obj.__name__, list(params))
+
+
 # golden corpus: sha256 of the json and csv stdout, and the stderr summary,
 # of each scan; serial and pooled runs must both reproduce them byte for byte
 SCAN_GOLDEN = {
@@ -647,7 +755,7 @@ HF_APPROX_GOLDEN = {
         "1fba33e64eaf79a0bfd739e9985b81a29b1e6bb34cb1bf926074fea7e8c84a37", ""),
     "pairs-csv": (
         ["hf", "--n", "2", "--holonomy", "0.6,0.8;1.0,0.0", "--format", "csv"],
-        "1c2651a65bff643afdd1ab9c045375f21e93063f59ee1fcda2d4c8835bfd6bc3", ""),
+        "a6b8e91f5e48fdc19589aa875be81cf33d6cb8de22c156b8b06b1d3e53d0479a", ""),
     "bare-run": (
         ["hf", "--n", "2", "--holonomy", "0.6,0.8,1.0,0.0"],
         "1fba33e64eaf79a0bfd739e9985b81a29b1e6bb34cb1bf926074fea7e8c84a37", ""),
@@ -671,6 +779,26 @@ def test_hf_approx_golden(capsys, case):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
     assert err == want_err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hf", "--n", "2", "--holonomy", "0.6,0.8;1.0,0.0"],
+    ["hf", "--n", "2", "--holonomy", "1/3;0.6,0.8"],
+    ["hf", "--n", "7", "--spin", "1,2,3,4,5,6,7", "--holonomy=" + _H7],
+    ["hf", "--n", "3", "--spin", "1,2,3", "--holonomy", "1/4,1/4,1/4"],
+    ["spin-scan", "3"],
+    ["brane-scan", "2"],
+], ids=["approx-pairs", "mixed", "approx-n7", "exact-hf", "spin-scan", "brane-scan"])
+def test_csv_rows_read_back_with_the_header_fields(capsys, argv):
+    # approximate holonomies print as "re,im", so their field is quoted
+    code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert header == list(cli.CSV_FIELDS)
+    assert rows and all(len(row) == len(header) == 7 for row in rows)
+    records = [json.loads(line) for line in run_cli(capsys, argv)[1].splitlines()]
+    assert [row[2] for row in rows] == [" ".join(r["holonomy"]) for r in records]
+    assert [row[6] for row in rows] == [r["backend"] for r in records]
 
 
 # the exact hf path, pinned the same way: (argv, stdout sha256)

@@ -128,5 +128,5 @@ def test_sparse_rank_equals_dense_rank_on_wedge_matrices(n):
              - rng.choice([0, 1]) for _ in range(n)]
         p, residues = reduce_mod_p(v)
         for k in range(n):
-            m = wedge_by_vector(n, residues, k)
+            m = wedge_by_vector(residues, k)
             assert _rank_exact(m, p) == _dense_rank_exact(m, p)

@@ -11,6 +11,7 @@ from cftorus.exterior import (
     GradedMatrixComplex,
     NotAComplexError,
     _nonzero_rows,
+    _rank_svd,
     _sparse_product,
     cohomology_ranks,
     index_sets,
@@ -21,7 +22,12 @@ from cftorus.exterior import (
     wedge_by_vector,
 )
 from cftorus.scalars import ApproxComplex, reduce_mod_p, root_of_unity
-from reference import matrix_is_zero, reference_matmul
+from reference import (
+    matrix_is_zero,
+    reference_matmul,
+    reference_rank_svd,
+    reference_wedge_by_vector,
+)
 
 
 def test_insert_sign_square_vanishes():
@@ -63,11 +69,11 @@ def test_insert_sign_matches_alternating_removal_expansion(n):
 
 
 def test_wedge_by_zero_vector_is_zero_matrix():
-    assert matrix_is_zero(wedge_by_vector(2, [0, 0], 0))
+    assert matrix_is_zero(wedge_by_vector([0, 0], 0))
 
 
 def test_wedge_matrix_unrolled_definition():
-    m = wedge_by_vector(2, [Fraction(3), Fraction(5)], 0)
+    m = wedge_by_vector([Fraction(3), Fraction(5)], 0)
     assert m == [[Fraction(3)], [Fraction(5)]]
 
 
@@ -77,9 +83,79 @@ def test_wedge_composites_vanish_for_random_vectors(n):
     for _ in range(5):
         v = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
         for k in range(n - 1):
-            product = reference_matmul(wedge_by_vector(n, v, k + 1),
-                                       wedge_by_vector(n, v, k))
+            product = reference_matmul(wedge_by_vector(v, k + 1),
+                                       wedge_by_vector(v, k))
             assert matrix_is_zero(product)
+
+
+def exact_entry(rng):
+    return rng.choice([
+        0, 0, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+        root_of_unity(rng.randint(0, 11), 12) - rng.choice([0, 1])])
+
+
+def approx_entry(rng):
+    return rng.choice([0j, complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                       ApproxComplex(rng.uniform(-1, 1), rng.uniform(-1, 1))])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_wedge_matrix_equals_the_insert_sign_loop(n):
+    # the running insertion sign against one insert_sign call per entry,
+    # for every degree, on exact and approximate vectors with zero entries
+    rng = random.Random("wedge-%d" % n)
+    for entry in (exact_entry, approx_entry):
+        for _ in range(3):
+            v = [entry(rng) for _ in range(n)]
+            for k in range(n + 1):
+                got = wedge_by_vector(v, k)
+                want = reference_wedge_by_vector(n, v, k)
+                assert got == want, (v, k)
+                assert [list(map(type, row)) for row in got] == \
+                    [list(map(type, row)) for row in want]
+    with pytest.raises(ValueError, match="k=%d out of range 0..%d" % (n + 1, n)):
+        wedge_by_vector([1] * n, n + 1)
+
+
+def test_graded_complex_rank_is_its_matrix_count():
+    assert GradedMatrixComplex(([[1, 2]], [])).n == 2
+    assert koszul_complex([0, 1, 0]).n == 3
+    assert GradedMatrixComplex(()).n == 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_svd_rank_equals_the_per_entry_route(n):
+    # the array filled from entries other than int 0, against the array
+    # built by converting every entry, on wedge matrices and on dense
+    # matrices of mixed scalar types, some rank-deficient
+    rng = random.Random("svd-%d" % n)
+    matrices = []
+    for _ in range(4):
+        v = [approx_entry(rng) for _ in range(n)]
+        matrices += [wedge_by_vector(v, k) for k in range(n)]
+    for _ in range(10):
+        rows, cols = rng.randint(1, n + 2), rng.randint(1, n + 2)
+        kinds = [exact_entry, approx_entry, lambda r: r.choice([0, 0.0, -1.5])]
+        matrices.append([[rng.choice(kinds)(rng) for _ in range(cols)]
+                         for _ in range(rows)])
+        left = [[complex(rng.gauss(0, 1), rng.gauss(0, 1))] for _ in range(rows)]
+        top = [rng.choice([0, complex(rng.gauss(0, 1), rng.gauss(0, 1))])
+               for _ in range(cols)]
+        matrices.append([[a * b for b in top] for [a] in left])  # rank <= 1
+    for m in matrices:
+        if not m or not m[0]:
+            continue
+        for tol in (1e-9, 1e-3, 0.5):
+            assert _rank_svd(m, tol) == reference_rank_svd(m, tol), (m, tol)
+
+
+@pytest.mark.parametrize("bad", [None, "1"])
+def test_svd_rank_refuses_entries_that_are_not_scalars(bad):
+    for m in ([[bad]], [[0.5j, bad]], [[bad, 0], [0, 1.5]]):
+        with pytest.raises(TypeError, match="not a scalar"):
+            rank(m)
+        with pytest.raises(TypeError, match="not a scalar"):
+            _rank_svd(m, 1e-9)
 
 
 def sparse_matmul(a, b):
@@ -133,12 +209,12 @@ def test_matmul_refuses_shape_mismatch_and_takes_empty_operands():
     # multiplies, skips a composite with an empty factor, and takes an
     # inner dimension of 0
     with pytest.raises(ValueError, match="shape mismatch"):
-        GradedMatrixComplex(2, ([[1, 2]], [[1, 2]])).validate()
+        GradedMatrixComplex(([[1, 2]], [[1, 2]])).validate()
     with pytest.raises(ValueError, match="shape mismatch"):
-        GradedMatrixComplex(2, ([[1], [2]], [[1, 2], [3]])).validate()
-    GradedMatrixComplex(2, ([[1, 2]], [])).validate()
-    GradedMatrixComplex(2, ([], [[1, 2]])).validate()
-    GradedMatrixComplex(2, ([[], []], [[1, 2]])).validate()
+        GradedMatrixComplex(([[1], [2]], [[1, 2], [3]])).validate()
+    GradedMatrixComplex(([[1, 2]], [])).validate()
+    GradedMatrixComplex(([], [[1, 2]])).validate()
+    GradedMatrixComplex(([[], []], [[1, 2]])).validate()
     assert sparse_matmul([[1, 2]], [[], []]) == [[]]
 
 
@@ -150,7 +226,7 @@ def test_rank_of_zero_and_identity():
 
 def test_rank_example_cross_checked_against_svd():
     # exact elimination vs an independent numeric route
-    m = wedge_by_vector(3, [1, 1, 1], 1)
+    m = wedge_by_vector([1, 1, 1], 1)
     assert rank(m) == comb(2, 1) == 2
     arr = np.array([[float(x) for x in row] for row in m])
     assert np.linalg.matrix_rank(arr) == 2
@@ -166,7 +242,7 @@ def test_nonzero_vector_gives_exact_complex(n):
     for v in vectors:
         if all(x == 0 for x in v):
             continue
-        cx = koszul_complex(n, v)
+        cx = koszul_complex(v)
         assert cohomology_ranks(cx) == [0] * (n + 1)
         for k in range(n):
             assert rank(cx.matrix(k)) == comb(n - 1, k)
@@ -174,16 +250,16 @@ def test_nonzero_vector_gives_exact_complex(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_zero_vector_gives_binomial_ranks(n):
-    cx = koszul_complex(n, [0] * n)
+    cx = koszul_complex([0] * n)
     assert cohomology_ranks(cx) == [comb(n, k) for k in range(n + 1)]
 
 
 def test_n1_zero_vector_ranks():
-    assert cohomology_ranks(koszul_complex(1, [0])) == [1, 1]
+    assert cohomology_ranks(koszul_complex([0])) == [1, 1]
 
 
 def test_not_a_complex_is_rejected():
-    bad = GradedMatrixComplex(2, ([[1], [0]], [[1, 0]]))
+    bad = GradedMatrixComplex(([[1], [0]], [[1, 0]]))
     with pytest.raises(NotAComplexError):
         cohomology_ranks(bad)
 
@@ -196,7 +272,7 @@ def flip_one_entry(cx, k, rng):
     r, c = rng.choice(spots)
     entry = -matrices[k][r][c]
     matrices[k][r][c] = entry % cx.modulus if cx.modulus else entry
-    return GradedMatrixComplex(cx.n, tuple(matrices), cx.modulus)
+    return GradedMatrixComplex(tuple(matrices), cx.modulus)
 
 
 @pytest.mark.parametrize("n, field", [(n, "F_p") for n in range(2, 9)]
@@ -210,7 +286,7 @@ def test_square_zero_check_refuses_one_flipped_sign(n, field):
     if field == "F_p":
         p, v = reduce_mod_p(v)
         assert all(v)
-    cx = koszul_complex(n, v, p)
+    cx = koszul_complex(v, p)
     assert cohomology_ranks(cx) == [0] * (n + 1)
     for k in range(n):
         with pytest.raises(NotAComplexError):
@@ -226,9 +302,9 @@ def test_modulus_reads_entries_in_the_prime_field():
     # D_1 o D_0 = (7) is zero only mod 7
     family = ([[1], [0]], [[p, 0]])
     with pytest.raises(NotAComplexError):
-        cohomology_ranks(GradedMatrixComplex(2, family))
-    assert cohomology_ranks(GradedMatrixComplex(2, family, p)) == [0, 1, 1]
-    assert cohomology_ranks(koszul_complex(2, [0, p], p)) == [1, 2, 1]
+        cohomology_ranks(GradedMatrixComplex(family))
+    assert cohomology_ranks(GradedMatrixComplex(family, p)) == [0, 1, 1]
+    assert cohomology_ranks(koszul_complex([0, p], p)) == [1, 2, 1]
 
 
 def test_exact_and_approx_backends_agree_on_root_of_unity_ranks():
@@ -239,13 +315,13 @@ def test_exact_and_approx_backends_agree_on_root_of_unity_ranks():
             exact_v = [root_of_unity(p, q) - 1 for p, q in angles]
             approx_v = [ApproxComplex(x.to_complex()) for x in exact_v]
             for k in range(n):
-                exact_rank = rank(wedge_by_vector(n, exact_v, k))
-                approx_rank = rank(wedge_by_vector(n, approx_v, k), tol=1e-9)
+                exact_rank = rank(wedge_by_vector(exact_v, k))
+                approx_rank = rank(wedge_by_vector(approx_v, k), tol=1e-9)
                 assert exact_rank == approx_rank
 
 
 def test_matrix_serializes_to_scalar_strings():
-    m = wedge_by_vector(2, [Fraction(1, 2), root_of_unity(1, 3)], 0)
+    m = wedge_by_vector([Fraction(1, 2), root_of_unity(1, 3)], 0)
     assert matrix_to_strings(m) == [["1/2"], ["1*z3"]]
 
 

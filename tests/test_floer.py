@@ -1,6 +1,7 @@
 import cmath
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -19,6 +20,7 @@ from cftorus.floer import (
     HolonomyAssignment,
     HomotopyClass,
     NovikovCochain,
+    RankTable,
     SpinStructure,
     WeightVector,
     brane_configs,
@@ -95,21 +97,27 @@ def test_holonomy_product_checked_at_the_callers_tolerance():
     one = ApproxComplex(1.0)
     off = ApproxComplex(1.0 + 1e-7)
     with pytest.raises(ValueError, match="must be 1 within 1e-09"):
-        HolonomyAssignment([one], off, angles=None, exact=False)
-    assert HolonomyAssignment([one], off, angles=None, exact=False, tol=1e-6).h0 == off
+        HolonomyAssignment([one], off)
+    assert HolonomyAssignment([one], off, tol=1e-6).h0 == off
 
 
 def test_exact_holonomies_are_built_from_their_angles_alone():
     # values passed beside the angles could disagree with them: h = (1, 1)
     # labelled 1/3, 0 once evaluated as a nonvanishing cell
     with pytest.raises(ValueError, match=r"h=\[1, 1\], h0=1"):
-        HolonomyAssignment([1, 1], 1, angles=[Fraction(1, 3), Fraction(0)], exact=True)
-    with pytest.raises(ValueError, match="angles=None"):
-        HolonomyAssignment(exact=True)
+        HolonomyAssignment([1, 1], 1, angles=[Fraction(1, 3), Fraction(0)])
+    with pytest.raises(ValueError, match="h=None, h0=None, angles=None"):
+        HolonomyAssignment()
     with pytest.raises(ValueError, match=r"angles=\[Fraction\(0, 1\)\]"):
         HolonomyAssignment([ApproxComplex(1.0)], ApproxComplex(1.0),
-                           angles=[Fraction(0)], exact=False)
-    direct = HolonomyAssignment(angles=[Fraction(4, 3), Fraction(0)], exact=True)
+                           angles=[Fraction(0)])
+    with pytest.raises(ValueError, match=r"h0=None, angles=\[Fraction\(0, 1\)\]"):
+        HolonomyAssignment([ApproxComplex(1.0)], angles=[Fraction(0)])
+    with pytest.raises(ValueError, match=r"h0=None, angles=None"):
+        HolonomyAssignment([ApproxComplex(1.0)])
+    direct = HolonomyAssignment(angles=[Fraction(4, 3), Fraction(0)])
+    assert direct.exact
+    assert not HolonomyAssignment([ApproxComplex(1.0)], ApproxComplex(1.0)).exact
     built = HolonomyAssignment.from_angles([Fraction(1, 3), Fraction(0)])
     assert (direct.h, direct.h0, direct.angles) == (built.h, built.h0, built.angles)
     cell = evaluate_cell(standard_spin(2), direct)
@@ -172,7 +180,7 @@ def signed_product_weights(spin, holonomy):
     hs = holonomy.with_h0()
     c = [simplify_exact(spin.eps[j] * hs[j]) for j in range(spin.n + 1)]
     v = [simplify_exact(c[j] - c[0]) for j in range(1, spin.n + 1)]
-    return WeightVector(c, v, exact=holonomy.exact)
+    return WeightVector(c, v)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -196,6 +204,28 @@ def test_weights_equal_the_signed_products(n):
             assert list(got.c) == list(want.c) and list(got.v) == list(want.v)
             if hol.exact:
                 assert list(map(type, got.c + got.v)) == list(map(type, want.c + want.v))
+
+
+@pytest.mark.parametrize("configs,n", [(spin_configs, 6), (brane_configs, 3)],
+                         ids=["spin-6", "brane-3"])
+def test_weights_are_exact_exactly_when_the_holonomy_is(configs, n):
+    for spin, hol in configs(n):
+        assert weights(spin, hol).exact is hol.exact is True
+    rng = random.Random("exact-%d" % n)
+    for _ in range(8):
+        hol = HolonomyAssignment.from_values(
+            [cmath.exp(2j * math.pi * rng.random()) for _ in range(n)])
+        assert weights(standard_spin(n), hol).exact is hol.exact is False
+
+
+def test_weight_vector_reads_its_backend_from_its_entries():
+    # a complex entry makes the vector approximate: its ranks come from the
+    # SVD route, never from a reduction mod p of values it cannot reduce
+    w = WeightVector([0, 0.5 + 0j, 0.25j], [0.5 + 0j, 0.25j])
+    assert not w.exact
+    assert floer_ranks_bruteforce(w).by_lambda_degree == (0, 0, 0)
+    assert WeightVector.from_vector([0, Fraction(1, 2), root_of_unity(1, 3)]).exact
+    assert not WeightVector.from_vector([0, ApproxComplex(0.5)]).exact
 
 
 # -- the coboundary ------------------------------------------------------------
@@ -277,12 +307,12 @@ def test_delta2_matches_alternating_removal_expansion(n):
 
 def test_bruteforce_ranks_trivial_weights():
     w = weights(standard_spin(2), HolonomyAssignment.trivial(2))
-    assert floer_ranks_bruteforce(2, w).by_lambda_degree == (1, 2, 1)
+    assert floer_ranks_bruteforce(w).by_lambda_degree == (1, 2, 1)
 
 
 def test_bruteforce_ranks_nontrivial_weights():
     w = WeightVector.from_vector([0, 2])
-    table = floer_ranks_bruteforce(2, w)
+    table = floer_ranks_bruteforce(w)
     assert table.by_lambda_degree == (0, 0, 0)
     assert not table.nonvanishing
 
@@ -295,43 +325,45 @@ def test_prime_field_tables_equal_cyclotomic_tables(configs, n):
     # oracle: the same dense route with no modulus, in Q(zeta_m)
     for spin, hol in configs(n):
         w = weights(spin, hol)
-        exact = cohomology_ranks(koszul_complex(n, list(w.v)))
-        assert floer_ranks_bruteforce(n, w).by_lambda_degree == tuple(exact)
+        exact = cohomology_ranks(koszul_complex(list(w.v)))
+        assert floer_ranks_bruteforce(w).by_lambda_degree == tuple(exact)
 
 
 def test_bruteforce_refuses_a_weight_that_vanishes_mod_p():
     # v = (p) is a nonzero vector, so the exact table is zero; mod p it
     # would be the zero map with the binomial table
     p, _ = prime_field(2)
-    assert cohomology_ranks(koszul_complex(1, [p])) == [0, 0]
+    assert cohomology_ranks(koszul_complex([p])) == [0, 0]
     with pytest.raises(ValueError, match="vanishes mod p"):
-        floer_ranks_bruteforce(1, WeightVector.from_vector([p]))
+        floer_ranks_bruteforce(WeightVector.from_vector([p]))
 
 
 def test_bruteforce_ranks_n1():
-    assert floer_ranks_bruteforce(1, WeightVector.from_vector([0])).by_lambda_degree == (1, 1)
+    assert floer_ranks_bruteforce(WeightVector.from_vector([0])).by_lambda_degree == (1, 1)
 
 
 def test_closedform_brane_point_n4():
     hol = HolonomyAssignment.from_angles([Fraction(2, 5)] * 4)
     w = weights(standard_spin(4), hol)
-    assert floer_ranks_closedform(4, w).by_lambda_degree == (1, 4, 6, 4, 1)
+    assert floer_ranks_closedform(w).by_lambda_degree == (1, 4, 6, 4, 1)
 
 
 def test_closedform_generic_holonomy_vanishes():
     hol = HolonomyAssignment.from_values([complex(0.6, 0.8), 1.0 + 0j])
     w = weights(standard_spin(2), hol)
-    assert floer_ranks_closedform(2, w).by_lambda_degree == (0, 0, 0)
+    assert floer_ranks_closedform(w).by_lambda_degree == (0, 0, 0)
 
 
 def test_closedform_all_twisted_odd():
     w = weights(SpinStructure.from_subset({1, 2, 3}, 3), HolonomyAssignment.trivial(3))
-    assert floer_ranks_closedform(3, w).by_lambda_degree == (1, 3, 3, 1)
+    assert floer_ranks_closedform(w).by_lambda_degree == (1, 3, 3, 1)
 
 
 def test_cochain_degree_relabeling():
-    table = floer_ranks_bruteforce(3, WeightVector.from_vector([0, 0, 0]))
+    table = floer_ranks_bruteforce(WeightVector.from_vector([0, 0, 0]))
     assert table.by_lambda_degree == (1, 3, 3, 1)
+    assert table.n == 3
+    assert RankTable((1, 1)).n == 1
     assert table.by_cochain_degree == tuple(reversed(table.by_lambda_degree))
 
 
@@ -344,8 +376,8 @@ def test_bruteforce_equals_closedform_on_random_weights(n):
         else:
             v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
         w = WeightVector.from_vector(v)
-        brute = floer_ranks_bruteforce(n, w)
-        closed = floer_ranks_closedform(n, w)
+        brute = floer_ranks_bruteforce(w)
+        closed = floer_ranks_closedform(w)
         assert brute == closed
 
 
@@ -357,11 +389,11 @@ def test_spin_twist_equals_sign_holonomy():
             subset = {i + 1 for i in range(n) if bits >> i & 1}
             spin = SpinStructure.from_subset(subset, n)
             by_spin = floer_ranks_bruteforce(
-                n, weights(spin, HolonomyAssignment.trivial(n)))
+                weights(spin, HolonomyAssignment.trivial(n)))
             angles = [Fraction(1, 2) if spin.eps[i] == -1 else Fraction(0)
                       for i in range(1, n + 1)]
             by_hol = floer_ranks_bruteforce(
-                n, weights(standard_spin(n), HolonomyAssignment.from_angles(angles)))
+                weights(standard_spin(n), HolonomyAssignment.from_angles(angles)))
             assert by_spin == by_hol
 
 
@@ -372,7 +404,7 @@ def test_spin_twist_cancels_against_half_turn_holonomy():
     hol = HolonomyAssignment.from_angles([Fraction(1, 2), Fraction(0)])
     w = weights(spin, hol)
     assert w.is_trivial()
-    assert floer_ranks_bruteforce(2, w).by_lambda_degree == (1, 2, 1)
+    assert floer_ranks_bruteforce(w).by_lambda_degree == (1, 2, 1)
 
 
 def test_rank_tables_invariant_under_common_unit_scaling():
@@ -384,7 +416,7 @@ def test_rank_tables_invariant_under_common_unit_scaling():
             hol = HolonomyAssignment.from_angles([Fraction(k, 5) for k in ks])
             w = weights(standard_spin(n), hol)
             scaled = WeightVector([a * c for c in w.c], [a * x for x in w.v])
-            assert floer_ranks_bruteforce(n, w) == floer_ranks_bruteforce(n, scaled)
+            assert floer_ranks_bruteforce(w) == floer_ranks_bruteforce(scaled)
 
 
 # -- homotopy classes and the full operator ----------------------------------
@@ -416,24 +448,24 @@ def test_homotopy_class_boundary_elimination():
 
 def test_full_differential_zero_operator_for_trivial_weights():
     w = weights(standard_spin(2), HolonomyAssignment.trivial(2))
-    op = FullDifferential(2, w)
-    assert op.is_zero_operator()
-    assert op.apply_class(ExteriorClass.unit(2)).is_zero()
+    op = FullDifferential(w)
+    assert op.weights.is_trivial(op.tol)
+    assert op.apply(NovikovCochain.from_class(ExteriorClass.unit(2))).is_zero()
 
 
 def test_full_differential_square_zero_and_e_exponent():
     w = WeightVector.from_vector([0, 2])
-    op = FullDifferential(2, w)
-    assert not op.is_zero_operator()
+    op = FullDifferential(w)
+    assert not op.weights.is_trivial(op.tol)
     assert FullDifferential.e_exponent == 1
-    image = op.apply_class(ExteriorClass.unit(2))
+    image = op.apply(NovikovCochain.from_class(ExteriorClass.unit(2)))
     assert set(image.parts) == {1}
     assert op.apply(image).is_zero()
 
 
 def test_full_differential_shifts_exponent_by_one():
     w = WeightVector.from_vector([1, 0, 0])
-    op = FullDifferential(3, w)
+    op = FullDifferential(w)
     start = NovikovCochain.from_class(ExteriorClass.generator(3, 2), exp=2)
     out = op.apply(start)
     assert set(out.parts) == {3}
@@ -498,12 +530,48 @@ def test_evaluate_cell_approx_backend_label():
     cell = evaluate_cell(standard_spin(2), hol)
     assert cell.backend == "approx"
     assert cell.table.by_lambda_degree == (1, 2, 1)
+    assert cell.n == 2
+    exact = evaluate_cell(SpinStructure.from_subset({1}, 3), HolonomyAssignment.trivial(3))
+    assert (exact.n, exact.backend) == (3, "exact")
+
+
+def angle_key_nonvanishing(spin, keys, q):
+    # integer oracle: angle a_j = keys[j]/q with a_0 = -(a_1 + .. + a_n);
+    # the cell survives when a_j + [eps_j = -1]/2 mod 1 is the same for
+    # every j = 0..n
+    all_keys = [-sum(keys), *keys]
+    return len({(a + (q // 2 if e == -1 else 0)) % q
+                for a, e in zip(all_keys, spin.eps)}) == 1
+
+
+@pytest.mark.parametrize("n,cells,hits", [(1, 8, 4), (2, 144, 12), (3, 4096, 32)])
+def test_mixed_spin_holonomy_grid_matches_the_angle_keys(n, cells, hits):
+    # every spin structure against every angle tuple in (1/q)Z, q = 2(n+1):
+    # this grid holds the cells no scan has, where a twist eps_j = -1 meets
+    # a half-turn h_j = -1 and the two cancel
+    q = 2 * (n + 1)
+    seen = survivors = cancelling = 0
+    for bits in range(1 << n):
+        spin = SpinStructure.from_subset([i + 1 for i in range(n) if bits >> i & 1], n)
+        for keys in itertools.product(range(q), repeat=n):
+            hol = HolonomyAssignment.from_angles([Fraction(a, q) for a in keys])
+            cell = evaluate_cell(spin, hol)
+            want = angle_key_nonvanishing(spin, keys, q)
+            assert cell.table.nonvanishing == want, (spin.eps, keys)
+            assert cell.table.by_lambda_degree == (
+                tuple(math.comb(n, k) for k in range(n + 1)) if want else (0,) * (n + 1))
+            seen += 1
+            survivors += want
+            cancelling += want and any(
+                e == -1 and 2 * a == q for e, a in zip(spin.eps[1:], keys))
+    assert (seen, survivors) == (cells, hits) == (cells, 2 ** n * (n + 1))
+    assert cancelling > 0
 
 
 def test_coboundary_complex_composites_vanish_for_unit_weights():
     hol = HolonomyAssignment.from_values([complex(0.28, 0.96), complex(0, 1)])
     w = weights(standard_spin(2), hol)
-    cx = koszul_complex(2, w.v)
+    cx = koszul_complex(w.v)
     for k in range(1):
         composite = reference_matmul(cx.matrix(k + 1), cx.matrix(k))
         assert matrix_is_zero(composite, tol=1e-12)

@@ -92,19 +92,19 @@ def test_cochain_must_be_complete():
 
 
 def test_koszul_rescale_check_simple_cases():
-    assert koszul_rescale_check(2, [Fraction(1), Fraction(1)])
-    assert koszul_rescale_check(3, [Fraction(1), Fraction(2), Fraction(3)])
+    assert koszul_rescale_check([Fraction(1), Fraction(1)])
+    assert koszul_rescale_check([Fraction(1), Fraction(2), Fraction(3)])
 
 
 def test_koszul_rescale_check_rejects_zero_weight():
     with pytest.raises(ValueError):
-        koszul_rescale_check(3, [Fraction(1), 0, Fraction(3)])
+        koszul_rescale_check([Fraction(1), 0, Fraction(3)])
 
 
 def test_koszul_rescale_check_root_of_unity_weights():
     a = root_of_unity(1, 5)
     v = [a - 1, a * a - 1, a * a * a - 1]
-    assert koszul_rescale_check(3, v)
+    assert koszul_rescale_check(v)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -113,7 +113,7 @@ def test_koszul_rescale_check_random_nonzero_weights(n):
     for _ in range(10):
         v = [Fraction(rng.choice([x for x in range(-4, 5) if x]),
                       rng.randint(1, 3)) for _ in range(n)]
-        assert koszul_rescale_check(n, v)
+        assert koszul_rescale_check(v)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -134,7 +134,7 @@ def test_weighted_preimage_hits_the_target(n):
             image = delta2(source, w)
             target = CochainAssignment(n, k, {
                 I: image.coefficient(I) for I in index_sets(n, k)})
-            preimage = weighted_cocycle_preimage(n, v, target)
+            preimage = weighted_cocycle_preimage(v, target)
             back = delta2(ExteriorClass(n, dict(preimage.values)), w)
             assert all(back.coefficient(I) == target.values[I]
                        for I in index_sets(n, k))
@@ -143,4 +143,16 @@ def test_weighted_preimage_hits_the_target(n):
 def test_weighted_preimage_rejects_zero_weights():
     target = CochainAssignment(2, 1, {(1,): Fraction(0), (2,): Fraction(2)})
     with pytest.raises(ValueError):
-        weighted_cocycle_preimage(2, [Fraction(1), 0], target)
+        weighted_cocycle_preimage([Fraction(1), 0], target)
+
+
+def test_weighted_preimage_takes_its_rank_from_the_target():
+    # one weight per generator of the target's rank; any other count is
+    # refused naming both lengths
+    target = CochainAssignment(2, 1, {(1,): Fraction(3), (2,): Fraction(3)})
+    with pytest.raises(ValueError, match="got 3 weights for a target of rank 2"):
+        weighted_cocycle_preimage([Fraction(1)] * 3, target)
+    with pytest.raises(ValueError, match="got 1 weights for a target of rank 2"):
+        weighted_cocycle_preimage([Fraction(1)], target)
+    preimage = weighted_cocycle_preimage([Fraction(1), Fraction(1)], target)
+    assert (preimage.n, preimage.k, preimage.values) == (2, 0, {(): 3})
