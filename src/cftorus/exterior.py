@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, count
+from itertools import combinations
 from math import comb
 from typing import Optional, Sequence, Tuple
 
@@ -160,44 +160,32 @@ class ExteriorClass:
 
 
 # ---------------------------------------------------------------------------
-# matrices in the lexicographic index-set basis (row-major list of rows)
+# matrices in the lexicographic index-set basis: one {column: entry} dict
+# per row, holding that row's nonzero entries only
 # ---------------------------------------------------------------------------
 
 def wedge_by_vector(v: Sequence, k: int):
-    """Matrix of (v_1 L_1 + .. + v_n L_n) ^ -  from degree k to k+1, n = len(v).
+    """Rows of (v_1 L_1 + .. + v_n L_n) ^ -  from degree k to k+1, n = len(v).
 
-    Column at basis element I holds sum_j v_j * insert_sign(j, I), the
-    sign flipping at each member of I passed.  The global coboundary sign
-    (-1)^n is *not* included here; it never moves ranks and is applied by
+    Column at basis element I holds v_j * insert_sign(j, I) in the row of
+    I + {j}, the sign flipping at each member of I passed; an entry is
+    stored only when v_j is nonzero.  The global coboundary sign (-1)^n
+    is *not* included here; it never moves ranks and is applied by
     callers that print coboundary values.
     """
     n = len(v)
     if not 0 <= k <= n:
         raise ValueError("degree k=%d out of range 0..%d" % (k, n))
-    rows = index_sets(n, k + 1)
-    cols = index_sets(n, k)
-    if not rows:
-        return []
     pos = _basis_positions(n, k + 1)
-    matrix = [[0] * len(cols) for _ in rows]
-    for col, I in enumerate(cols):
+    rows = [{} for _ in pos]
+    for col, I in enumerate(index_sets(n, k)):
         sign, below = 1, 0
-        for j in range(1, n + 1):
+        for j, vj in enumerate(v, 1):
             if below < k and I[below] == j:
                 sign, below = -sign, below + 1
-            else:
-                matrix[pos[I[:below] + (j,) + I[below:]]][col] = sign * v[j - 1]
-    return matrix
-
-
-def _nonzero_rows(matrix):
-    """Each row of a dense matrix as {column: entry} over its nonzero entries."""
-    return [{c: row[c] for c in compress(count(), row)} for row in matrix]
-
-
-def _check_shapes(a, b) -> None:
-    if any(len(row) != len(b) for row in a):
-        raise ValueError("shape mismatch in matrix product")
+            elif vj:
+                rows[pos[I[:below] + (j,) + I[below:]]][col] = sign * vj
+    return rows
 
 
 def _sparse_product(a, b):
@@ -218,12 +206,7 @@ def _sparse_product(a, b):
 
 
 def matrix_is_exact(matrix) -> bool:
-    return all(is_exact_scalar(x) for row in matrix for x in row)
-
-
-def matrix_to_strings(matrix):
-    """Row-major array of scalar strings, the JSON form of a matrix."""
-    return [[scalar_str(x) for x in row] for row in matrix]
+    return all(is_exact_scalar(x) for row in matrix for x in row.values())
 
 
 def rank(matrix, tol: float = DEFAULT_TOL, modulus: Optional[int] = None) -> int:
@@ -231,9 +214,10 @@ def rank(matrix, tol: float = DEFAULT_TOL, modulus: Optional[int] = None) -> int
 
     With a prime modulus the integer entries are read in F_p.  The
     approximate backend counts singular values above
-    tol * (largest singular value).
+    tol * (largest singular value).  A matrix whose rows are all empty
+    holds no inexact entry, so it takes the exact route.
     """
-    if not matrix or not matrix[0]:
+    if not matrix:
         return 0
     if modulus or matrix_is_exact(matrix):
         return _rank_exact(matrix, modulus)
@@ -259,7 +243,7 @@ def _rank_exact(matrix, modulus: Optional[int] = None) -> int:
     are falsy exactly at zero.
     """
     pivots = {}
-    for row in _nonzero_rows(matrix):
+    for row in matrix:
         row = _reduced(row, modulus)
         while row:
             c = max(row)
@@ -278,12 +262,14 @@ def _rank_exact(matrix, modulus: Optional[int] = None) -> int:
 def _rank_svd(matrix, tol: float) -> int:
     import numpy as np  # only the approximate backend needs numpy
 
-    # only structural zeros (int 0) are skipped: None still raises TypeError
-    arr = np.zeros((len(matrix), len(matrix[0])), dtype=complex)
+    # columns past the last one used are zero and cannot change the rank
+    width = 1 + max((c for row in matrix for c in row), default=-1)
+    if not width:
+        return 0
+    arr = np.zeros((len(matrix), width), dtype=complex)
     for r, row in enumerate(matrix):
-        for c, x in enumerate(row):
-            if x.__class__ is not int or x:
-                arr[r, c] = scalar_to_complex(x)
+        for c, x in row.items():
+            arr[r, c] = scalar_to_complex(x)
     sv = np.linalg.svd(arr, compute_uv=False)
     # entries are O(1) by construction, so a largest singular value below
     # tol means the matrix is zero at tolerance; without this floor the
@@ -296,6 +282,8 @@ def _rank_svd(matrix, tol: float) -> int:
 @dataclass(frozen=True)
 class GradedMatrixComplex:
     """Per-degree matrices D_k: degree k -> k+1, k = 0..n-1, n = len(matrices).
+
+    Each D_k is a list of {column: entry} rows, as `wedge_by_vector` builds.
 
     D_n (into the zero group) is implicitly zero.  The defining invariant
     is that consecutive composites vanish; `validate` checks it and
@@ -320,15 +308,17 @@ class GradedMatrixComplex:
         """Refuse the family unless every composite D_(k+1) o D_k is zero.
 
         Each composite is formed over the nonzero entries of both factors;
-        an entry no product reaches is zero in every backend.
+        an entry no product reaches is zero in every backend.  A row of
+        D_(k+1) naming a column past the rows of D_k is refused.
         """
         m = self.modulus
-        rows = [_nonzero_rows(matrix) for matrix in self.matrices]
         for k in range(self.n - 1):
-            if not self.matrices[k + 1] or not self.matrices[k]:
+            a, b = self.matrices[k + 1], self.matrices[k]
+            if not a or not b:
                 continue
-            _check_shapes(self.matrices[k + 1], self.matrices[k])
-            for acc in _sparse_product(rows[k + 1], rows[k]):
+            if any(row and max(row) >= len(b) for row in a):
+                raise ValueError("shape mismatch in matrix product")
+            for acc in _sparse_product(a, b):
                 if (any(x % m for x in acc.values()) if m else
                         not all(scalar_is_zero(x, tol) for x in acc.values())):
                     raise NotAComplexError(

@@ -103,6 +103,12 @@ def standard_spin(n: int) -> SpinStructure:
     return SpinStructure.from_subset((), n)
 
 
+def _check_unit_modulus(values, tol: float) -> None:
+    for x in values:
+        if not abs(abs(scalar_to_complex(x)) - 1.0) <= tol:  # also refuses nan and inf
+            raise ValueError("holonomy %r is not unit modulus within %g" % (x, tol))
+
+
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class HolonomyAssignment:
     """Unit holonomies (h_1,..,h_n) with derived h_0 = (h_1 * .. * h_n)^-1.
@@ -143,6 +149,8 @@ class HolonomyAssignment:
         elif not abs(scalar_to_complex(prod) - 1.0) <= tol:
             raise ValueError("holonomy product h_0 * h_1 * .. * h_n must be 1 "
                              "within %g" % tol)
+        else:
+            _check_unit_modulus((*self.h, h0), tol)
 
     @property
     def n(self) -> int:
@@ -164,12 +172,8 @@ class HolonomyAssignment:
     @classmethod
     def from_values(cls, values: Sequence, tol: float = DEFAULT_TOL) -> "HolonomyAssignment":
         """Approximate backend from unit-modulus complex values."""
-        vals = []
-        for x in values:
-            z = scalar_to_complex(x)
-            if not abs(abs(z) - 1.0) <= tol:  # also refuses nan and inf
-                raise ValueError("holonomy %r is not unit modulus within %g" % (x, tol))
-            vals.append(ApproxComplex(z))
+        vals = [ApproxComplex(scalar_to_complex(x)) for x in values]
+        _check_unit_modulus(vals, tol)  # before 1/prod can divide by zero
         prod = 1.0 + 0j
         for z in vals:
             prod *= complex(z)

@@ -56,17 +56,13 @@ class CochainAssignment:
 
 
 def simplex_coboundary(n: int, k: int):
-    """Matrix of the simplicial coboundary from size-k to size-(k+1) cochains."""
+    """Rows of the simplicial coboundary from size-k to size-(k+1) cochains."""
     if not 0 <= k < n:
         raise ValueError("degree k=%d out of range 0..%d" % (k, n - 1))
-    rows = index_sets(n, k + 1)
-    cols_pos = _basis_positions(n, k)
-    matrix = [[0] * len(cols_pos) for _ in rows]
-    for row, J in enumerate(rows):
-        for s in range(len(J)):
-            I = J[:s] + J[s + 1:]
-            matrix[row][cols_pos[I]] = (-1) ** s  # (-1)**(s-1) with s 1-based
-    return matrix
+    pos = _basis_positions(n, k)
+    # (-1)**(s-1) with s 1-based
+    return [{pos[J[:s] + J[s + 1:]]: (-1) ** s for s in range(len(J))}
+            for J in index_sets(n, k + 1)]
 
 
 def coboundary_apply(a: CochainAssignment) -> CochainAssignment:
@@ -119,15 +115,13 @@ def koszul_rescale_check(w, tol: float = DEFAULT_TOL) -> bool:
         for I in index_sets(n, k + 1):
             scale[I] = scale[I[:-1]] * v[I[-1] - 1]
     for k in range(n):
-        delta = wedge_by_vector(v, k)
-        expected = simplex_coboundary(n, k)
-        rows = index_sets(n, k + 1)
         cols = index_sets(n, k)
-        for r, J in enumerate(rows):
+        for J, row, want in zip(index_sets(n, k + 1), wedge_by_vector(v, k),
+                                simplex_coboundary(n, k)):
             inv = Fraction(1) / scale[J]
-            for c, I in enumerate(cols):
-                rescaled = inv * delta[r][c] * scale[I]
-                if not scalar_is_zero(rescaled - expected[r][c], tol):
+            for c in row.keys() | want.keys():
+                rescaled = inv * row.get(c, 0) * scale[cols[c]]
+                if not scalar_is_zero(rescaled - want.get(c, 0), tol):
                     return False
     return True
 

@@ -11,6 +11,18 @@ from cftorus.exterior import _basis_positions, index_sets, insert_sign
 from cftorus.scalars import DEFAULT_TOL, scalar_is_zero, scalar_to_complex
 
 
+def dense(rows, ncols):
+    """The row-major list of lists of {column: entry} rows, int 0 where a
+    row stores no entry."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def rows_of(matrix):
+    """The {column: entry} rows of a row-major list of lists, over its
+    nonzero entries."""
+    return [{c: x for c, x in enumerate(row) if x} for row in matrix]
+
+
 def reference_matmul(a, b):
     # the textbook triple sum over every term, zeros included, left to right
     out = []

@@ -26,7 +26,7 @@ from cftorus.maslov import disc_boundary_maslov
 from cftorus.oracle import koszul_rescale_check
 from cftorus.scalars import ApproxComplex, root_of_unity
 from cftorus.signs import boundary_fibre_signs, squarezero_chain
-from reference import reference_matmul
+from reference import dense, reference_matmul
 
 
 def _report(label, budget_seconds, body):
@@ -124,13 +124,15 @@ def test_criterion_5_coboundary_squares_to_zero():
                            for _ in range(n)]
                 cx = koszul_complex(v_exact)
                 for k in range(n - 1):
-                    composite = reference_matmul(cx.matrix(k + 1), cx.matrix(k))
+                    composite = reference_matmul(dense(cx.matrix(k + 1), comb(n, k + 1)),
+                                                 dense(cx.matrix(k), comb(n, k)))
                     assert all(x == 0 for row in composite for x in row)
                 v_approx = [ApproxComplex(cmath.exp(2j * math.pi * rng.random()) - 1)
                             for _ in range(n)]
                 cx = koszul_complex(v_approx)
                 for k in range(n - 1):
-                    composite = reference_matmul(cx.matrix(k + 1), cx.matrix(k))
+                    composite = reference_matmul(dense(cx.matrix(k + 1), comb(n, k + 1)),
+                                                 dense(cx.matrix(k), comb(n, k)))
                     assert all(abs(scalar_to_complex(x)) < 1e-12
                                for row in composite for x in row)
 

@@ -743,6 +743,16 @@ def test_full_size_scan_golden(capsys, command, n):
     assert err == summary
 
 
+def test_spin_scan_10_over_two_jobs_matches_the_dense_route_digest(capsys):
+    # 1,024 cells at n = 10, against the json digest the dense route printed
+    # before the wedge matrices were built as sparse rows
+    code, out, err = run_cli(capsys, ["spin-scan", "10", "--jobs", "2"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "08e194ae5eae9e573a2dc1bfd55d1fb898a0e5ee3686c93533ec8be64d70c44f")
+    assert err == "nonvanishing: 1 of 1024 spin structures\n"
+
+
 # the approximate hf path, pinned the same way; hf takes no --jobs, so these
 # rows carry their whole argv: (argv, stdout sha256, stderr)
 _H7 = ("-0.23279003514829782,-0.9725270173808306;0.5163846981207826,-0.85635672680648;"

@@ -6,28 +6,34 @@ from math import comb
 import numpy as np
 import pytest
 
+from cftorus import exterior
 from cftorus.exterior import (
     ExteriorClass,
     GradedMatrixComplex,
     NotAComplexError,
-    _nonzero_rows,
     _rank_svd,
     _sparse_product,
     cohomology_ranks,
     index_sets,
     insert_sign,
     koszul_complex,
-    matrix_to_strings,
     rank,
     wedge_by_vector,
 )
-from cftorus.scalars import ApproxComplex, reduce_mod_p, root_of_unity
+from cftorus.scalars import ApproxComplex, reduce_mod_p, root_of_unity, scalar_str
 from reference import (
+    dense,
     matrix_is_zero,
     reference_matmul,
     reference_rank_svd,
     reference_wedge_by_vector,
+    rows_of,
 )
+
+
+def dense_wedge(v, k):
+    # the wedge matrix from degree k as a list of lists, C(n, k) columns
+    return dense(wedge_by_vector(v, k), comb(len(v), k))
 
 
 def test_insert_sign_square_vanishes():
@@ -69,12 +75,16 @@ def test_insert_sign_matches_alternating_removal_expansion(n):
 
 
 def test_wedge_by_zero_vector_is_zero_matrix():
-    assert matrix_is_zero(wedge_by_vector([0, 0], 0))
+    assert matrix_is_zero(dense_wedge([0, 0], 0))
+    # a zero weight stores no entry, on every backend
+    assert wedge_by_vector([0, 0], 0) == [{}, {}]
+    assert wedge_by_vector([0j, Fraction(0), 0], 1) == [{}, {}, {}]
 
 
 def test_wedge_matrix_unrolled_definition():
     m = wedge_by_vector([Fraction(3), Fraction(5)], 0)
-    assert m == [[Fraction(3)], [Fraction(5)]]
+    assert dense(m, 1) == [[Fraction(3)], [Fraction(5)]]
+    assert m == [{0: Fraction(3)}, {0: Fraction(5)}]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -83,8 +93,7 @@ def test_wedge_composites_vanish_for_random_vectors(n):
     for _ in range(5):
         v = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
         for k in range(n - 1):
-            product = reference_matmul(wedge_by_vector(v, k + 1),
-                                       wedge_by_vector(v, k))
+            product = reference_matmul(dense_wedge(v, k + 1), dense_wedge(v, k))
             assert matrix_is_zero(product)
 
 
@@ -110,29 +119,30 @@ def test_wedge_matrix_equals_the_insert_sign_loop(n):
             for k in range(n + 1):
                 got = wedge_by_vector(v, k)
                 want = reference_wedge_by_vector(n, v, k)
-                assert got == want, (v, k)
-                assert [list(map(type, row)) for row in got] == \
-                    [list(map(type, row)) for row in want]
+                assert got == rows_of(want), (v, k)
+                assert dense(got, comb(n, k)) == want, (v, k)
+                assert [list(map(type, row.values())) for row in got] == \
+                    [list(map(type, row.values())) for row in rows_of(want)]
     with pytest.raises(ValueError, match="k=%d out of range 0..%d" % (n + 1, n)):
         wedge_by_vector([1] * n, n + 1)
 
 
 def test_graded_complex_rank_is_its_matrix_count():
-    assert GradedMatrixComplex(([[1, 2]], [])).n == 2
+    assert GradedMatrixComplex(([{0: 1, 1: 2}], [])).n == 2
     assert koszul_complex([0, 1, 0]).n == 3
     assert GradedMatrixComplex(()).n == 0
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_svd_rank_equals_the_per_entry_route(n):
-    # the array filled from entries other than int 0, against the array
-    # built by converting every entry, on wedge matrices and on dense
-    # matrices of mixed scalar types, some rank-deficient
+    # the array filled from the stored entries of each row, against the
+    # array built by converting every entry of the dense form, on wedge
+    # matrices and on matrices of mixed scalar types, some rank-deficient
     rng = random.Random("svd-%d" % n)
     matrices = []
     for _ in range(4):
         v = [approx_entry(rng) for _ in range(n)]
-        matrices += [wedge_by_vector(v, k) for k in range(n)]
+        matrices += [dense_wedge(v, k) for k in range(n)]
     for _ in range(10):
         rows, cols = rng.randint(1, n + 2), rng.randint(1, n + 2)
         kinds = [exact_entry, approx_entry, lambda r: r.choice([0, 0.0, -1.5])]
@@ -146,12 +156,12 @@ def test_svd_rank_equals_the_per_entry_route(n):
         if not m or not m[0]:
             continue
         for tol in (1e-9, 1e-3, 0.5):
-            assert _rank_svd(m, tol) == reference_rank_svd(m, tol), (m, tol)
+            assert _rank_svd(rows_of(m), tol) == reference_rank_svd(m, tol), (m, tol)
 
 
 @pytest.mark.parametrize("bad", [None, "1"])
 def test_svd_rank_refuses_entries_that_are_not_scalars(bad):
-    for m in ([[bad]], [[0.5j, bad]], [[bad, 0], [0, 1.5]]):
+    for m in ([{0: bad}], [{0: 0.5j, 1: bad}], [{0: bad}, {1: 1.5}]):
         with pytest.raises(TypeError, match="not a scalar"):
             rank(m)
         with pytest.raises(TypeError, match="not a scalar"):
@@ -161,8 +171,7 @@ def test_svd_rank_refuses_entries_that_are_not_scalars(bad):
 def sparse_matmul(a, b):
     # the product behind `validate`, over the nonzero entries of both
     # factors, written out densely; an entry no product reaches is int 0
-    rows = _sparse_product(_nonzero_rows(a), _nonzero_rows(b))
-    return [[acc.get(col, 0) for col in range(len(b[0]))] for acc in rows]
+    return dense(_sparse_product(rows_of(a), rows_of(b)), len(b[0]))
 
 
 def zeta_entry(order):
@@ -205,30 +214,46 @@ def test_matmul_equals_the_triple_sum(kind):
 
 
 def test_matmul_refuses_shape_mismatch_and_takes_empty_operands():
-    # validate checks the shapes of each composite D_(k+1) o D_k before it
-    # multiplies, skips a composite with an empty factor, and takes an
-    # inner dimension of 0
+    # validate refuses a row of D_(k+1) naming a column at or past the
+    # rows of D_k before it multiplies, skips a composite with an empty
+    # factor, and takes an inner dimension of 0
     with pytest.raises(ValueError, match="shape mismatch"):
-        GradedMatrixComplex(([[1, 2]], [[1, 2]])).validate()
+        GradedMatrixComplex(([{0: 1, 1: 2}], [{0: 1, 1: 2}])).validate()
     with pytest.raises(ValueError, match="shape mismatch"):
-        GradedMatrixComplex(([[1], [2]], [[1, 2], [3]])).validate()
-    GradedMatrixComplex(([[1, 2]], [])).validate()
-    GradedMatrixComplex(([], [[1, 2]])).validate()
-    GradedMatrixComplex(([[], []], [[1, 2]])).validate()
+        GradedMatrixComplex(([{0: 1}, {0: 2}], [{0: 1, 1: 2}, {2: 3}])).validate()
+    GradedMatrixComplex(([{0: 1}, {0: 2}], [{0: 2, 1: -1}])).validate()
+    GradedMatrixComplex(([{0: 1, 1: 2}], [])).validate()
+    GradedMatrixComplex(([], [{0: 1, 1: 2}])).validate()
+    GradedMatrixComplex(([{}, {}], [{0: 1, 1: 2}])).validate()
     assert sparse_matmul([[1, 2]], [[], []]) == [[]]
 
 
 def test_rank_of_zero_and_identity():
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[1 if i == j else 0 for j in range(4)] for i in range(4)]) == 4
+    assert rank(rows_of([[0, 0], [0, 0]])) == 0
+    assert rank(rows_of([[1 if i == j else 0 for j in range(4)] for i in range(4)])) == 4
     assert rank([]) == 0
+    assert _rank_svd([{}, {}], 1e-9) == _rank_svd([], 1e-9) == 0
+
+
+def test_rank_takes_the_exact_route_when_every_row_is_empty(monkeypatch):
+    # a zero weight stores no entry on either backend, and rows holding no
+    # inexact entry are eliminated exactly: no SVD, so no numpy
+    calls = []
+    exact = exterior._rank_exact
+    monkeypatch.setattr(exterior, "_rank_exact",
+                        lambda m, p=None: calls.append(p) or exact(m, p))
+    monkeypatch.setattr(exterior, "_rank_svd",
+                        lambda m, tol: pytest.fail("SVD on empty rows"))
+    assert rank([{}, {}]) == 0 and rank([{}], modulus=7) == 0
+    assert cohomology_ranks(koszul_complex([ApproxComplex(0.0)] * 3)) == [1, 3, 3, 1]
+    assert calls == [None, 7, None, None, None]
 
 
 def test_rank_example_cross_checked_against_svd():
     # exact elimination vs an independent numeric route
     m = wedge_by_vector([1, 1, 1], 1)
     assert rank(m) == comb(2, 1) == 2
-    arr = np.array([[float(x) for x in row] for row in m])
+    arr = np.array([[float(x) for x in row] for row in dense(m, 3)])
     assert np.linalg.matrix_rank(arr) == 2
 
 
@@ -259,16 +284,16 @@ def test_n1_zero_vector_ranks():
 
 
 def test_not_a_complex_is_rejected():
-    bad = GradedMatrixComplex(([[1], [0]], [[1, 0]]))
+    bad = GradedMatrixComplex((rows_of([[1], [0]]), rows_of([[1, 0]])))
     with pytest.raises(NotAComplexError):
         cohomology_ranks(bad)
 
 
 def flip_one_entry(cx, k, rng):
     # the family with one nonzero entry of D_k negated
-    matrices = [[list(row) for row in m] for m in cx.matrices]
+    matrices = [[dict(row) for row in m] for m in cx.matrices]
     spots = [(r, c) for r, row in enumerate(matrices[k])
-             for c, x in enumerate(row) if x]
+             for c, x in row.items() if x]
     r, c = rng.choice(spots)
     entry = -matrices[k][r][c]
     matrices[k][r][c] = entry % cx.modulus if cx.modulus else entry
@@ -296,11 +321,11 @@ def test_square_zero_check_refuses_one_flipped_sign(n, field):
 def test_modulus_reads_entries_in_the_prime_field():
     p = 7
     # rank 2 over Q, 1 over F_7
-    assert rank([[1, 1], [1, 8]]) == 2
-    assert rank([[1, 1], [1, 8]], modulus=p) == 1
-    assert rank([[p, 2 * p]], modulus=p) == 0
+    assert rank(rows_of([[1, 1], [1, 8]])) == 2
+    assert rank(rows_of([[1, 1], [1, 8]]), modulus=p) == 1
+    assert rank(rows_of([[p, 2 * p]]), modulus=p) == 0
     # D_1 o D_0 = (7) is zero only mod 7
-    family = ([[1], [0]], [[p, 0]])
+    family = (rows_of([[1], [0]]), rows_of([[p, 0]]))
     with pytest.raises(NotAComplexError):
         cohomology_ranks(GradedMatrixComplex(family))
     assert cohomology_ranks(GradedMatrixComplex(family, p)) == [0, 1, 1]
@@ -322,7 +347,7 @@ def test_exact_and_approx_backends_agree_on_root_of_unity_ranks():
 
 def test_matrix_serializes_to_scalar_strings():
     m = wedge_by_vector([Fraction(1, 2), root_of_unity(1, 3)], 0)
-    assert matrix_to_strings(m) == [["1/2"], ["1*z3"]]
+    assert [[scalar_str(x) for x in row] for row in dense(m, 1)] == [["1/2"], ["1*z3"]]
 
 
 def test_basis_order_is_lexicographic():

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import copy
 import dataclasses
 import itertools
@@ -34,7 +35,7 @@ from cftorus.floer import (
     weights,
 )
 from cftorus.scalars import ApproxComplex, prime_field, root_of_unity, simplify_exact
-from reference import matrix_is_zero, reference_matmul
+from reference import dense, matrix_is_zero, reference_matmul
 
 
 # -- spin structures -----------------------------------------------------------
@@ -99,6 +100,25 @@ def test_holonomy_product_checked_at_the_callers_tolerance():
     with pytest.raises(ValueError, match="must be 1 within 1e-09"):
         HolonomyAssignment([one], off)
     assert HolonomyAssignment([one], off, tol=1e-6).h0 == off
+
+
+def test_every_approximate_holonomy_value_is_checked_for_unit_modulus():
+    # a product of 1 does not make the factors units: h and h0 are each
+    # checked, on the constructor and on from_values alike
+    with pytest.raises(ValueError, match=r"holonomy \(2\+0j\) is not unit modulus within 1e-09"):
+        HolonomyAssignment([ApproxComplex(2.0), ApproxComplex(0.5)], ApproxComplex(1.0))
+    # four values each within tol of the circle, whose h0 = 1/product is not
+    near = ApproxComplex(1 + 9e-10)
+    with pytest.raises(ValueError, match=r"holonomy \(0\.99999999\d*\+0j\) is not unit"):
+        HolonomyAssignment([near] * 4, ApproxComplex(1 / complex(near) ** 4))
+    with pytest.raises(ValueError, match=r"holonomy \(0\.99999999\d*\+0j\) is not unit"):
+        HolonomyAssignment.from_values([near] * 4)
+    # a zero value is refused by name before h0 = 1/product is formed
+    with pytest.raises(ValueError, match=r"holonomy 0j is not unit modulus within 1e-09"):
+        HolonomyAssignment.from_values([1j, 0j])
+    hol = HolonomyAssignment([ApproxComplex(-1.0), ApproxComplex(1j)], ApproxComplex(1j))
+    assert evaluate_cell(standard_spin(2), hol).to_json_dict()["holonomy"] == \
+        ["-1.0,0.0", "0.0,1.0"]
 
 
 def test_exact_holonomies_are_built_from_their_angles_alone():
@@ -568,12 +588,67 @@ def test_mixed_spin_holonomy_grid_matches_the_angle_keys(n, cells, hits):
     assert cancelling > 0
 
 
+def _mixed_cells_at_lcm_720(rng, n):
+    # (kind, spin, keys) with angles keys/720; each angle is drawn from a
+    # random divisor of 720, so the lcm of the denominators divides 720
+    q = 720
+    divisors = [d for d in range(1, q + 1) if q % d == 0]
+
+    def spin_of(bits):
+        return SpinStructure.from_subset([i + 1 for i in range(n) if bits >> i & 1], n)
+
+    def angle():
+        d = rng.choice(divisors)
+        return q // d * rng.randrange(d)
+
+    def common_key(spin, m):
+        # every a_j + [eps_j = -1]/2 equal to m/(n+1), the only common keys
+        return [(m * q // (n + 1) - (q // 2 if e == -1 else 0)) % q
+                for e in spin.eps[1:]]
+
+    for i in range(4):
+        # a twist eps_j = -1 met by a half-turn h_j = -1: at common key 0
+        # every twist is met so, and the cell survives; else at one j
+        spin = spin_of(rng.randrange(1, 1 << n))
+        keys = common_key(spin, 0) if i % 2 else [angle() for _ in range(n)]
+        keys[rng.choice(spin.twisted_subset) - 1] = q // 2
+        yield "cancel", spin, keys
+    for _ in range(4):
+        spin = spin_of(rng.randrange(1 << n))
+        yield "built", spin, common_key(spin, rng.randrange(n + 1))
+    for _ in range(4):
+        yield "random", spin_of(rng.randrange(1 << n)), [angle() for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_seeded_mixed_sweep_at_lcm_720_matches_the_angle_keys(n):
+    # the seeded half of the mixed guard: cancellations, cells built to
+    # survive and random cells at the holonomy lcm cap, each decided by
+    # evaluate_cell against the integer keys
+    rng = random.Random("mixed-720-%d" % n)
+    kinds = collections.Counter()
+    for kind, spin, keys in _mixed_cells_at_lcm_720(rng, n):
+        hol = HolonomyAssignment.from_angles([Fraction(a, 720) for a in keys])
+        assert 720 % math.lcm(*(a.denominator for a in hol.angles)) == 0
+        cell = evaluate_cell(spin, hol)
+        want = angle_key_nonvanishing(spin, keys, 720)
+        assert cell.table.nonvanishing == want, (kind, spin.eps, keys)
+        assert cell.table.by_lambda_degree == (
+            tuple(math.comb(n, k) for k in range(n + 1)) if want else (0,) * (n + 1))
+        assert kind != "cancel" or any(
+            e == -1 and a == 360 for e, a in zip(spin.eps[1:], keys))
+        kinds[kind, want] += 1
+    assert kinds["built", True] == 4 and kinds["random", False] > 0
+    assert kinds["cancel", True] >= 2
+    assert sum(kinds.values()) == 12
+
+
 def test_coboundary_complex_composites_vanish_for_unit_weights():
     hol = HolonomyAssignment.from_values([complex(0.28, 0.96), complex(0, 1)])
     w = weights(standard_spin(2), hol)
     cx = koszul_complex(w.v)
     for k in range(1):
-        composite = reference_matmul(cx.matrix(k + 1), cx.matrix(k))
+        composite = reference_matmul(dense(cx.matrix(k + 1), 2), dense(cx.matrix(k), 1))
         assert matrix_is_zero(composite, tol=1e-12)
 
 
