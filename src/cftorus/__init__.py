@@ -12,9 +12,9 @@ Library layout:
 * :mod:`cftorus.cli`      -- the ``cftorus`` command
 
 Only SVD rank and the numpy frame-stack API of :mod:`cftorus.maslov`
-(``LagrangianFrame``, ``FrameLoop``, ``b_map``, ``loop_maslov``) need
-numpy, and each imports it where it runs: exact computations and the
-disc path of ``maslov-check`` never load it.
+(``LagrangianFrame``, ``FrameLoop``, ``b_map``, ``diag_phase_frame``,
+``loop_maslov``) need numpy, and each imports it where it runs: exact
+computations and the disc path of ``maslov-check`` never load it.
 
 Every submodule, and every public name below, is imported on first
 access, so ``import cftorus`` runs none of them and ``maslov-check``
@@ -43,8 +43,7 @@ _LAZY = {
     "exterior": "exterior",
     **dict.fromkeys((
         "ExteriorClass", "GradedMatrixComplex", "NotAComplexError",
-        "cohomology_ranks", "index_sets", "insert_sign", "koszul_complex", "rank",
-        "wedge_by_vector",
+        "cohomology_ranks", "index_sets", "koszul_complex", "rank", "wedge_by_vector",
     ), "exterior"),
     "floer": "floer",
     **dict.fromkeys((

@@ -454,6 +454,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a cell whose two rank routes disagree
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     return 2
 
 

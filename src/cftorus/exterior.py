@@ -58,22 +58,6 @@ def _basis_positions(n: int, k: int) -> dict:
     return {I: pos for pos, I in enumerate(index_sets(n, k))}
 
 
-def insert_sign(j: int, I: Sequence[int], n: int | None = None):
-    """Sign and index set of L_j wedged onto L_I from the left.
-
-    Returns (0, None) when j already occurs (squares vanish), otherwise
-    ((-1)**(number of members below j), sorted insertion).
-    """
-    if j < 1 or (n is not None and j > n):
-        raise IndexError("generator index %d out of range" % j)
-    I = tuple(I)
-    if j in I:
-        return 0, None
-    below = sum(1 for i in I if i < j)
-    merged = tuple(sorted(I + (j,)))
-    return (-1) ** below, merged
-
-
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class ExteriorClass:
     """Formal linear combination of wedge monomials L_I over a scalar field."""
@@ -125,15 +109,6 @@ class ExteriorClass:
     def __rmul__(self, scalar):
         return ExteriorClass(self.n, {I: scalar * c for I, c in self.terms.items()})
 
-    def wedge_generator(self, j: int) -> "ExteriorClass":
-        """L_j wedged from the left onto every term."""
-        out = {}
-        for I, c in self.terms.items():
-            sign, J = insert_sign(j, I, self.n)
-            if sign:
-                out[J] = out[J] + sign * c if J in out else sign * c
-        return ExteriorClass(self.n, out)
-
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return all(scalar_is_zero(c, tol) for c in self.terms.values())
 
@@ -167,10 +142,10 @@ class ExteriorClass:
 def wedge_by_vector(v: Sequence, k: int):
     """Rows of (v_1 L_1 + .. + v_n L_n) ^ -  from degree k to k+1, n = len(v).
 
-    Column at basis element I holds v_j * insert_sign(j, I) in the row of
-    I + {j}, the sign flipping at each member of I passed; an entry is
-    stored only when v_j is nonzero.  The global coboundary sign (-1)^n
-    is *not* included here; it never moves ranks and is applied by
+    Column at basis element I holds +-v_j in the row of I + {j}, the sign
+    (-1)^(members of I below j) of wedging L_j onto L_I from the left; an
+    entry is stored only when v_j is nonzero.  The global coboundary sign
+    (-1)^n is *not* included here; it never moves ranks and is applied by
     callers that print coboundary values.
     """
     n = len(v)

@@ -7,8 +7,24 @@ same answer.
 
 import numpy as np
 
-from cftorus.exterior import _basis_positions, index_sets, insert_sign
+from cftorus.exterior import _basis_positions, index_sets
 from cftorus.scalars import DEFAULT_TOL, scalar_is_zero, scalar_to_complex
+
+
+def insert_sign(j, I, n=None):
+    """Sign and index set of L_j wedged onto L_I from the left.
+
+    Returns (0, None) when j already occurs (squares vanish), otherwise
+    ((-1)**(number of members below j), sorted insertion).
+    """
+    if j < 1 or (n is not None and j > n):
+        raise IndexError("generator index %d out of range" % j)
+    I = tuple(I)
+    if j in I:
+        return 0, None
+    below = sum(1 for i in I if i < j)
+    merged = tuple(sorted(I + (j,)))
+    return (-1) ** below, merged
 
 
 def dense(rows, ncols):
@@ -78,3 +94,29 @@ def reference_rank_svd(matrix, tol):
     if sv.size == 0 or sv[0] <= tol:
         return 0
     return int(np.count_nonzero(sv > tol * sv[0]))
+
+
+def _kept(terms):
+    # a class keeps only the terms that are nonzero at the default tolerance
+    return {I: c for I, c in terms.items() if not scalar_is_zero(c, DEFAULT_TOL)}
+
+
+def reference_delta2(terms, v, tol=DEFAULT_TOL):
+    """The terms of (-1)^n (v_1 L_1 + .. + v_n L_n) ^ x, x given by its
+    terms and n = len(v): one generator at a time through insert_sign,
+    skipping the weights zero at tol, with a class's arithmetic (terms
+    zero at the default tolerance dropped after every sum and product)."""
+    n = len(v)
+    acc = {}
+    for j, vj in enumerate(v, 1):
+        if scalar_is_zero(vj, tol):
+            continue
+        wedged = {}
+        for I, c in terms.items():
+            sign, J = insert_sign(j, I, n)
+            if sign:
+                wedged[J] = wedged[J] + sign * c if J in wedged else sign * c
+        for J, c in _kept({J: vj * c for J, c in _kept(wedged).items()}).items():
+            acc[J] = acc[J] + c if J in acc else c
+        acc = _kept(acc)
+    return _kept({J: (-1) ** n * c for J, c in acc.items()})

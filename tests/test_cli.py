@@ -216,6 +216,34 @@ def test_hf_refuses_cells_inside_the_vanishing_band(capsys, n, tol):
         assert json.loads(out)["ranks_by_lambda_degree"] == table
 
 
+def test_cell_refusals_name_the_cell(capsys, monkeypatch):
+    # the approximate refusal names the cell it refused
+    code, out, err = run_cli(capsys, ["hf", "--n", "2", "--tol", "1e-6",
+                                      "--holonomy", equal_weight_holonomy(2, 0.8e-6)])
+    assert (code, out) == (2, "")
+    assert "holonomy lies within tolerance of a vanishing transition" in err
+    assert "(spin 1,1,1, holonomy %s)" % equal_weight_holonomy(2, 0.8e-6).replace(
+        ";", " ") in err
+    # an exact cell whose two rank routes disagree is a failed check: exit 1
+    # with a message naming the cell, and no traceback
+    monkeypatch.setattr(floer, "floer_ranks_closedform",
+                        lambda w, tol: floer.RankTable((0,) * (w.n + 1)))
+    code, out, err = run_cli(capsys, ["brane-scan", "2"])
+    assert (code, out) == (1, "")
+    assert err == ("error: brute-force and closed-form rank tables disagree: "
+                   "RankTable(by_lambda_degree=(1, 2, 1)) vs "
+                   "RankTable(by_lambda_degree=(0, 0, 0)) "
+                   "(spin 1,1,1, holonomy 0/1 0/1)\n")
+    # a closed form that reads every cell as nonvanishing agrees with the
+    # first spin structure and fails the second, after one record
+    monkeypatch.setattr(floer, "floer_ranks_closedform",
+                        lambda w, tol: floer.RankTable((1, 3, 3, 1)))
+    code, out, err = run_cli(capsys, ["spin-scan", "3"])
+    assert code == 1 and out.count("\n") == 1
+    assert err.startswith("error: brute-force and closed-form rank tables disagree")
+    assert err.endswith("(spin -1,-1,1,1, holonomy 0/1 0/1 0/1)\n")
+
+
 def test_holonomy_lcm_cap(capsys, monkeypatch):
     # the cap is on the lcm of the denominators, not on the largest one
     for text in ("1/720,1/1", "1/80,1/9"):
@@ -509,6 +537,29 @@ def test_numpy_is_imported_only_where_pinned():
     assert sites == NUMPY_SITES
 
 
+#: what tests/reference.py may import from cftorus: index bookkeeping and
+#: scalar conversions, never a routine that the references check
+REFERENCE_IMPORTS = {
+    ("cftorus.exterior", "index_sets"), ("cftorus.exterior", "_basis_positions"),
+    ("cftorus.scalars", "DEFAULT_TOL"), ("cftorus.scalars", "scalar_is_zero"),
+    ("cftorus.scalars", "scalar_to_complex"),
+}
+
+
+def test_reference_imports_only_bookkeeping_from_cftorus():
+    path = os.path.join(os.path.dirname(__file__), "reference.py")
+    with open(path) as source:
+        tree = ast.parse(source.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cftorus"):
+            imported |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("cftorus") for a in node.names), \
+                [a.name for a in node.names]
+    assert imported <= REFERENCE_IMPORTS, imported - REFERENCE_IMPORTS
+
+
 def test_import_cftorus_loads_no_submodule():
     done = subprocess.run(
         [sys.executable, "-c", "import sys, cftorus; "
@@ -538,7 +589,7 @@ PUBLIC_NAMES = """
     disc_boundary_maslov disc_eval disc_make discs evaluate_cell
     evaluation_orientation_sign exterior fibre_product_sign floer
     floer_ranks_bruteforce floer_ranks_closedform gluing_sign
-    homotopy_class index_sets insert_sign koszul_complex koszul_rescale_check
+    homotopy_class index_sets koszul_complex koszul_rescale_check
     loop_maslov maslov maslov_index moduli_dim oracle permute_sign psl2_act rank
     root_of_unity scalar_is_zero scalars signs simplex_coboundary solve_cocycle
     solve_disc_through_point spin_configs squarezero_chain
@@ -604,7 +655,6 @@ PUBLIC_SIGNATURES = {
     'gluing_sign': '(dim_l)',
     'homotopy_class': '(d)',
     'index_sets': '(n, k)',
-    'insert_sign': '(j, I, n=None)',
     'koszul_complex': '(v, modulus=None)',
     'koszul_rescale_check': '(w, tol=1e-09)',
     'loop_maslov': '(loop, tol=1e-09, step_limit=3.141592653589793)',

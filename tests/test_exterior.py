@@ -15,14 +15,15 @@ from cftorus.exterior import (
     _sparse_product,
     cohomology_ranks,
     index_sets,
-    insert_sign,
     koszul_complex,
     rank,
     wedge_by_vector,
 )
+from cftorus.floer import WeightVector, delta2
 from cftorus.scalars import ApproxComplex, reduce_mod_p, root_of_unity, scalar_str
 from reference import (
     dense,
+    insert_sign,
     matrix_is_zero,
     reference_matmul,
     reference_rank_svd,
@@ -363,9 +364,14 @@ def test_exterior_class_normalizes_away_zeros():
 
 
 def test_exterior_class_wedge_generator_signs():
+    # L_j wedged onto x is (-1)^n delta2(x, e_j), e_j the j-th unit weight vector
     x = ExteriorClass(3, {(1, 3): 1})
-    assert x.wedge_generator(2).coefficient((1, 2, 3)) == -1
-    assert x.wedge_generator(1).is_zero()
+
+    def e(j):
+        return WeightVector.from_vector([int(i == j) for i in range(1, 4)])
+
+    assert (-1) ** 3 * delta2(x, e(2)).coefficient((1, 2, 3)) == -1
+    assert delta2(x, e(1)).is_zero()
 
 
 def test_exterior_class_algebra():

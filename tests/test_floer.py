@@ -6,10 +6,13 @@ import itertools
 import math
 import pickle
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
+from cftorus import floer
 from cftorus.exterior import (
     ExteriorClass,
     cohomology_ranks,
@@ -35,7 +38,7 @@ from cftorus.floer import (
     weights,
 )
 from cftorus.scalars import ApproxComplex, prime_field, root_of_unity, simplify_exact
-from reference import dense, matrix_is_zero, reference_matmul
+from reference import dense, matrix_is_zero, reference_delta2, reference_matmul
 
 
 # -- spin structures -----------------------------------------------------------
@@ -323,6 +326,43 @@ def test_delta2_matches_alternating_removal_expansion(n):
                 assert image.coefficient(J) == (-1) ** n * expected
 
 
+#: the four scalar kinds a class or weight can hold, each as a seeded draw
+SCALAR_KINDS = {
+    "int": lambda rng: rng.randint(-3, 3),
+    "fraction": lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    "cyclotomic": lambda rng: (rng.randint(-2, 2) * root_of_unity(rng.randrange(5), 5)
+                               + rng.randint(-1, 1)),
+    "approx": lambda rng: ApproxComplex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_delta2_equals_the_per_generator_route(n):
+    # the rows of wedge_by_vector against one insert_sign pass per generator;
+    # approximate weights include 1e-12 (zero at both tolerances) and 1e-5
+    # (zero at 1e-3 only, but above the tolerance a class drops terms at)
+    rng = random.Random("delta2-%d" % n)
+    basis = [I for k in range(n + 1) for I in index_sets(n, k)]
+    for kind, draw in SCALAR_KINDS.items():
+        for tol in (1e-9, 1e-3):
+            for _ in range(7):
+                v = [draw(rng) for _ in range(n)]
+                if kind == "approx":
+                    v = [rng.choice([x, x, ApproxComplex(1e-12), ApproxComplex(0, 1e-5)])
+                         for x in v]
+                x = ExteriorClass(n, {I: draw(rng) for I in rng.sample(
+                    basis, rng.randint(1, len(basis)))})
+                got = delta2(x, WeightVector.from_vector(v), tol).terms
+                want = reference_delta2(x.terms, v, tol)
+                if kind == "approx":
+                    assert got.keys() == want.keys(), (v, x, tol)
+                    assert all(abs(got[J] - want[J]) <= 1e-12 for J in got), (v, x, tol)
+                else:
+                    assert got == want, (v, x, tol)
+                    assert {J: type(c) for J, c in got.items()} == \
+                        {J: type(c) for J, c in want.items()}, (v, x, tol)
+
+
 # -- rank tables -----------------------------------------------------------------
 
 def test_bruteforce_ranks_trivial_weights():
@@ -481,6 +521,64 @@ def test_full_differential_square_zero_and_e_exponent():
     image = op.apply(NovikovCochain.from_class(ExteriorClass.unit(2)))
     assert set(image.parts) == {1}
     assert op.apply(image).is_zero()
+
+
+def compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_truncation_checks_the_least_deficit_class_of_each_index(monkeypatch, n):
+    # one class per total 2..n, and it has the least deficit of every
+    # composition of that total, so all of them have a positive deficit
+    checked = []
+
+    def recorded(b):
+        checked.append(b.mu)
+        return dimension_deficit(b)
+
+    monkeypatch.setattr(floer, "dimension_deficit", recorded)
+    FullDifferential(WeightVector.from_vector([1] * n))
+    assert [sum(mu) for mu in checked] == list(range(2, n + 1))
+    for mu in checked:
+        least = min(dimension_deficit(HomotopyClass(c))
+                    for c in compositions(sum(mu), n + 1))
+        assert dimension_deficit(HomotopyClass(mu)) == least > 0
+    if n >= 2:
+        monkeypatch.setattr(floer, "dimension_deficit", lambda b: 0)
+        with pytest.raises(AssertionError, match="of index 4 has no dimension deficit"):
+            FullDifferential(WeightVector.from_vector([1] * n))
+
+
+def test_full_differential_at_the_largest_n_within_budget():
+    # hf's limit n = 12: build the operator (both checks) and apply it twice
+    # to the sum of the middle-degree basis classes
+    start = time.perf_counter()
+    op = FullDifferential(WeightVector.from_vector([1] * 12))
+    x = NovikovCochain.from_class(ExteriorClass(12, dict.fromkeys(index_sets(12, 6), 1)))
+    once = op.apply(x)
+    twice = op.apply(once)
+    elapsed = time.perf_counter() - start
+    assert set(once.parts) == {1} and not once.is_zero()
+    assert twice.is_zero()
+    assert elapsed < 2.0, elapsed
+
+
+@pytest.mark.parametrize("mu", [("a", 1), (None, 1), (True, 1), (1, 2.0), (0, -1)])
+def test_homotopy_class_refuses_non_integer_counts_by_name(mu):
+    bad = next(m for m in mu if type(m) is not int or m < 0)
+    with pytest.raises(ValueError, match="got %s in" % re.escape(repr(bad))):
+        HomotopyClass(mu)
+
+
+def test_cochain_refuses_a_bool_exponent():
+    with pytest.raises(ValueError, match="got True"):
+        NovikovCochain(2, {True: ExteriorClass.unit(2)})
 
 
 def test_full_differential_shifts_exponent_by_one():
