@@ -7,8 +7,8 @@ Library layout:
 * :mod:`cftorus.floer`    -- spin structures, holonomies, the coboundary, scan cells
 * :mod:`cftorus.discs`    -- Blaschke-product discs and the point solver
 * :mod:`cftorus.maslov`   -- numeric winding-number Maslov indices
-* :mod:`cftorus.signs`    -- orientation sign conventions and their replays
-* :mod:`cftorus.oracle`   -- simplicial-cochain brute-force cross-checks
+* :mod:`cftorus.signs`    -- Koszul reordering signs and the square-zero sign replay
+* :mod:`cftorus.oracle`   -- simplex coboundary ranks and the Koszul rescaling check
 * :mod:`cftorus.cli`      -- the ``cftorus`` command
 
 Only SVD rank and the numpy frame-stack API of :mod:`cftorus.maslov`
@@ -56,13 +56,11 @@ _LAZY = {
     "signs": "signs",
     **dict.fromkeys((
         "OrientedFactor", "OrientedFactorization", "boundary_fibre_signs",
-        "evaluation_orientation_sign", "fibre_product_sign", "gluing_sign",
-        "moduli_dim", "permute_sign", "squarezero_chain",
+        "gluing_sign", "moduli_dim", "permute_sign", "squarezero_chain",
     ), "signs"),
     "oracle": "oracle",
     **dict.fromkeys((
-        "CochainAssignment", "NotACocycleError", "koszul_rescale_check",
-        "simplex_coboundary", "solve_cocycle",
+        "koszul_rescale_check", "simplex_coboundary",
     ), "oracle"),
     "discs": "discs",
     **dict.fromkeys((

@@ -2,9 +2,9 @@
 
 Commands: hf (one configuration), spin-scan, brane-scan, maslov-check,
 selftest.  Scans stream one result line per cell as soon as it is
-computed, so partial runs stay usable; summaries go to stderr.  Exit
-codes: 0 success, 1 check failure, 2 usage error.  The env var CF_TOL
-overrides the default tolerance; --tol overrides both.
+computed, under --jobs too, so partial runs stay usable; summaries go
+to stderr.  Exit codes: 0 success, 1 check failure, 2 usage error.  The
+env var CF_TOL overrides the default tolerance; --tol overrides both.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import random
 import sys
 from contextlib import nullcontext
 from functools import partial
+from itertools import islice
 from math import comb, inf, lcm, nan
 from typing import TYPE_CHECKING, Optional
 
@@ -41,6 +42,9 @@ SCANS = {
     "brane-scan": (BRANE_SCAN_MAX_N, "(n+1)^n", "brane_configs",
                    "holonomy assignments"),
 }
+
+#: configs per window of --jobs; at most two are drawn ahead of the output
+POOL_WINDOW = 128
 
 CSV_FIELDS = ("n", "spin", "holonomy", "ranks_by_lambda_degree",
               "ranks_by_cochain_degree", "nonvanishing", "backend")
@@ -210,6 +214,18 @@ def _cell_record(config, tol: float) -> dict:
     return evaluate_cell(spin, holonomy, tol).to_json_dict()
 
 
+def _pooled(pool, worker, configs):
+    """Records in order from `pool.map` over windows of POOL_WINDOW configs,
+    each window queued while the one before it is read."""
+    windows = iter(lambda: list(islice(configs, POOL_WINDOW)), [])
+    reading = ()
+    for window in windows:
+        queued = pool.map(worker, window, chunksize=8)
+        yield from reading
+        reading = queued
+    yield from reading
+
+
 # -- commands -----------------------------------------------------------------
 
 def cmd_hf(spin: SpinStructure, holonomy: HolonomyAssignment, tol: float,
@@ -238,12 +254,17 @@ def cmd_scan(command: str, n: int, tol: float, fmt: str, jobs: int) -> int:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip it
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        records = (pool.map(worker, configs(n), chunksize=8) if pool
+        records = (_pooled(pool, worker, configs(n)) if pool
                    else map(worker, configs(n)))
-        for record in records:
-            cells += 1
-            hits += bool(record["nonvanishing"])
-            _emit(record, fmt)
+        try:
+            for record in records:
+                cells += 1
+                hits += bool(record["nonvanishing"])
+                _emit(record, fmt)
+        except BaseException:
+            if pool:  # report now: drop the chunks no worker has started
+                pool.shutdown(cancel_futures=True)
+            raise
     print("nonvanishing: %d of %d %s" % (hits, cells, noun), file=sys.stderr)
     return 0
 
@@ -279,6 +300,12 @@ def cmd_maslov_check(count: int, seed: int, tol: float) -> int:
     return 1 if mismatches else 0
 
 
+def _require(ok: bool, message: str, *args) -> None:
+    """Fail a selftest check naming its input; unlike `assert`, also under -O."""
+    if not ok:
+        raise AssertionError(message % args)
+
+
 def _selftest_checks(tol: float):
     from fractions import Fraction
 
@@ -289,14 +316,17 @@ def _selftest_checks(tol: float):
         for n in range(1, 5):
             cells = [evaluate_cell(spin, hol, tol) for spin, hol in spin_configs(n)]
             hits = [c for c in cells if c.table.nonvanishing]
-            assert len(hits) == (2 if n % 2 else 1)
+            _require(len(hits) == (2 if n % 2 else 1),
+                     "n=%d: %d nonvanishing spin structures", n, len(hits))
+            binomial = tuple(comb(n, k) for k in range(n + 1))
             for c in hits:
-                assert c.table.by_lambda_degree == tuple(
-                    comb(n, k) for k in range(n + 1))
+                _require(c.table.by_lambda_degree == binomial, "spin %r: ranks %r",
+                         c.spin.eps, c.table.by_lambda_degree)
 
     def brane_count():
-        assert sum(evaluate_cell(spin, hol, tol).table.nonvanishing
-                   for spin, hol in brane_configs(2)) == 3
+        hits = sum(evaluate_cell(spin, hol, tol).table.nonvanishing
+                   for spin, hol in brane_configs(2))
+        _require(hits == 3, "n=2: %d nonvanishing holonomy assignments", hits)
 
     def coboundary_squares_to_zero():
         rng = random.Random(7)
@@ -308,17 +338,20 @@ def _selftest_checks(tol: float):
     def sign_chain():
         for n in range(1, 7):
             for mu in range(2, 11, 2):
-                assert signs.squarezero_chain(n, mu) == (-1, -1)
+                got = signs.squarezero_chain(n, mu)
+                _require(got == (-1, -1), "n=%d, mu=%d: coefficients %r", n, mu, got)
 
     def oracle_rescale():
         w = [Fraction(1), Fraction(2), Fraction(3)]
-        assert oracle.koszul_rescale_check(w, tol)
+        _require(oracle.koszul_rescale_check(w, tol), "weights 1, 2, 3 do not rescale")
 
     def maslov_numeric():
         rng = random.Random(11)
-        for _ in range(10):
+        for position in range(1, 11):
             d = discs.random_disc(rng, rng.randint(1, 3), max_degree=3, chart0=True)
-            assert maslov.disc_boundary_maslov(d, tol) == discs.maslov_index(d)
+            got = maslov.disc_boundary_maslov(d, tol), discs.maslov_index(d)
+            _require(got[0] == got[1], "disc %d of 10: numeric and "
+                     "combinatorial index %r", position, got)
 
     def disc_solver_roundtrip():
         rng = random.Random(13)
@@ -328,8 +361,9 @@ def _selftest_checks(tol: float):
             for i in range(n + 1):
                 d = discs.solve_disc_through_point(i, target)
                 got = discs.disc_eval(d, 1.0)
-                assert all(abs(g / got[0] - t) < 1e-9
-                           for g, t in zip(got[1:], target))
+                _require(all(abs(g / got[0] - t) < 1e-9
+                             for g, t in zip(got[1:], target)),
+                         "class %d through %r reaches %r", i, target, got)
 
     return [
         ("spin dichotomy ranks", spin_dichotomy),

@@ -1,20 +1,21 @@
 """Orientation sign algebra for fibre products of oriented factors.
 
-Every convention here is a parity statement about ordered lists of named
-oriented factors, so orientations are tracked purely by dimension parity
-and never by actual bases.  Moving a factor of dimension a past one of
-dimension b costs (-1)**(a*b); a manifold's boundary is oriented by the
-outward-normal-first rule, which makes the boundary of a fibre product
-X x_f P split as (dX) x_f P plus (-1)**(x+l) X x_f (dP); and gluing a
-split disc class into the boundary of its moduli space carries the sign
-(-1)**(dim L + 1).
+Orientations are tracked by dimension parity alone, never by bases:
+moving a factor of dimension a past one of dimension b costs
+(-1)**(a*b).  The fibre product X x_f P of a submersion from X (dim x)
+and a chain P in L (dim l) is oriented as its kernel factor (dim x - l)
+followed by P.  Boundaries are oriented outward normal first, so the
+boundary of X x_f P splits as (dX) x_f P plus (-1)**(x+l) X x_f (dP);
+gluing a split disc class into the boundary of its moduli space carries
+the sign (-1)**(dim L + 1); and evaluation at the marked point, which
+identifies the one-marked moduli space of minimal discs with the torus,
+is declared orientation preserving.
 
 `squarezero_chain` replays the sign bookkeeping that makes the full
 coboundary square to zero: expanding delta_0 applied to a disc-class
 term produces the split-class composition and the delta_0-on-the-chain
 term, each with coefficient -1, cancelling the other two terms of the
-square.  The replay documents its own step list rather than a particular
-grouping of exponents.
+square.  Its docstring lists the steps of the replay.
 """
 
 from __future__ import annotations
@@ -35,36 +36,14 @@ class OrientedFactor:
 
 @dataclass(frozen=True)
 class OrientedFactorization:
-    """Ordered list of named oriented factors with a global sign."""
+    """Ordered list of named oriented factors."""
 
     factors: Tuple[OrientedFactor, ...]
-    sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
         object.__setattr__(self, "factors", tuple(
             f if isinstance(f, OrientedFactor) else OrientedFactor(*f)
             for f in self.factors))
-
-    @property
-    def total_dim(self) -> int:
-        return sum(f.dim for f in self.factors)
-
-    def transpose(self, i: int) -> "OrientedFactorization":
-        """Swap adjacent factors i, i+1; costs (-1)**(dim_i * dim_(i+1))."""
-        fs = list(self.factors)
-        if not 0 <= i < len(fs) - 1:
-            raise IndexError("no adjacent pair at position %d" % i)
-        cost = (-1) ** (fs[i].dim * fs[i + 1].dim)
-        fs[i], fs[i + 1] = fs[i + 1], fs[i]
-        return OrientedFactorization(tuple(fs), self.sign * cost)
-
-    def permute(self, perm: Sequence[int]) -> "OrientedFactorization":
-        reordered = OrientedFactorization(
-            tuple(self.factors[p] for p in perm),
-            self.sign * permute_sign(self, perm))
-        return reordered
 
 
 def permute_sign(f: OrientedFactorization, perm: Sequence[int]) -> int:
@@ -78,33 +57,9 @@ def permute_sign(f: OrientedFactorization, perm: Sequence[int]) -> int:
         raise ValueError("not a permutation of %d factors: %r"
                          % (len(f.factors), perm))
     dims = [f.factors[p].dim for p in perm]
-    sign = 1
-    # bubble to identity, counting adjacent transposition costs
-    order = perm[:]
-    for i in range(len(order)):
-        for j in range(len(order) - 1 - i):
-            if order[j] > order[j + 1]:
-                sign *= (-1) ** (dims[j] * dims[j + 1])
-                order[j], order[j + 1] = order[j + 1], order[j]
-                dims[j], dims[j + 1] = dims[j + 1], dims[j]
-    return sign
-
-
-def fibre_product_sign(x: int, l: int, p: int) -> OrientedFactorization:
-    """Orientation convention for X x_f P over an l-dimensional target.
-
-    The fibre product of a submersion from X (dim x) and an embedded
-    chain P (dim p) is oriented as [kernel factor X0 (dim x-l)] x [P],
-    with sign +1: that ordering *is* the convention.
-    """
-    if l > x:
-        raise ValueError("submersion needs dim X >= dim L (got x=%d, l=%d)" % (x, l))
-    if p > l:
-        raise ValueError("embedded chain needs dim P <= dim L (got p=%d, l=%d)" % (p, l))
-    if min(x, l, p) < 0:
-        raise ValueError("dimensions must be >= 0")
-    return OrientedFactorization(
-        (OrientedFactor("X0", x - l), OrientedFactor("P", p)))
+    crossed = sum(dims[i] * dims[j] for j in range(len(perm)) for i in range(j)
+                  if perm[i] > perm[j])
+    return (-1) ** (crossed % 2)
 
 
 def boundary_fibre_signs(x: int, l: int) -> Tuple[int, int]:
@@ -135,19 +90,6 @@ def gluing_sign(dim_l: int) -> int:
 def moduli_dim(n: int, mu: int, marked_points: int = 2) -> int:
     """Dimension of the marked disc moduli space after the automorphism quotient."""
     return n + mu + marked_points - 3
-
-
-def evaluation_orientation_sign() -> int:
-    """Sign of the marked-boundary quotient replay [T^n] x [dD^2] / [S^1].
-
-    This is a convention, not an independent fact: evaluating a minimal
-    disc at its marked point identifies the one-marked moduli space with
-    the torus, and that identification is *declared* orientation
-    preserving, pinning the replay to +1.  The disc-through-a-point
-    solver's round-trip witnesses the bijectivity; the orientation half
-    lives here as the convention itself.
-    """
-    return 1
 
 
 def squarezero_chain(n: int, mu_a: int) -> Tuple[int, int]:

@@ -580,18 +580,18 @@ def test_maslov_check_never_loads_the_exact_stack(module):
 #: submodules were imported eagerly
 PUBLIC_NAMES = """
     ApproxComplex BlaschkeComponent BlaschkeDisc BlaschkeFactor ChartError
-    CochainAssignment Cyclotomic DEFAULT_TOL DegenerateDiscError ExteriorClass
+    Cyclotomic DEFAULT_TOL DegenerateDiscError ExteriorClass
     FrameError FrameLoop FullDifferential GradedMatrixComplex HolonomyAssignment
-    HomotopyClass LagrangianFrame MoebiusMap NotACocycleError NotAComplexError
+    HomotopyClass LagrangianFrame MoebiusMap NotAComplexError
     NovikovCochain OrientedFactor OrientedFactorization RankTable SpinStructure
     UndersampledLoopError WeightVector b_map boundary_fibre_signs brane_configs
     cohomology_ranks delta2 dimension_deficit
     disc_boundary_maslov disc_eval disc_make discs evaluate_cell
-    evaluation_orientation_sign exterior fibre_product_sign floer
+    exterior floer
     floer_ranks_bruteforce floer_ranks_closedform gluing_sign
     homotopy_class index_sets koszul_complex koszul_rescale_check
     loop_maslov maslov maslov_index moduli_dim oracle permute_sign psl2_act rank
-    root_of_unity scalar_is_zero scalars signs simplex_coboundary solve_cocycle
+    root_of_unity scalar_is_zero scalars signs simplex_coboundary
     solve_disc_through_point spin_configs squarezero_chain
     standard_spin wedge_by_vector weights winding_number
 """.split()
@@ -617,7 +617,6 @@ PUBLIC_SIGNATURES = {
     'BlaschkeDisc': '(components, tol=1e-09)',
     'BlaschkeFactor': '(alpha, exact=None)',
     'ChartError': None,
-    'CochainAssignment': '(n, k, values)',
     'Cyclotomic': '(order, coeffs)',
     'DegenerateDiscError': None,
     'ExteriorClass': '(n, terms=None, tol=1e-09)',
@@ -629,11 +628,10 @@ PUBLIC_SIGNATURES = {
     'HomotopyClass': '(mu)',
     'LagrangianFrame': '(matrix, tol=1e-09)',
     'MoebiusMap': '(theta=0.0, a=0j)',
-    'NotACocycleError': '(violations)',
     'NotAComplexError': None,
     'NovikovCochain': '(n, parts=None, tol=1e-09)',
     'OrientedFactor': '(label, dim)',
-    'OrientedFactorization': '(factors, sign=1)',
+    'OrientedFactorization': '(factors)',
     'RankTable': '(by_lambda_degree)',
     'SpinStructure': '(eps)',
     'UndersampledLoopError': None,
@@ -648,8 +646,6 @@ PUBLIC_SIGNATURES = {
     'disc_eval': '(d, z)',
     'disc_make': '(components, tol=1e-09)',
     'evaluate_cell': '(spin, holonomy, tol=1e-09)',
-    'evaluation_orientation_sign': '()',
-    'fibre_product_sign': '(x, l, p)',
     'floer_ranks_bruteforce': '(w, tol=1e-09)',
     'floer_ranks_closedform': '(w, tol=1e-09)',
     'gluing_sign': '(dim_l)',
@@ -666,7 +662,6 @@ PUBLIC_SIGNATURES = {
     'root_of_unity': '(p, q)',
     'scalar_is_zero': '(x, tol=1e-09)',
     'simplex_coboundary': '(n, k)',
-    'solve_cocycle': '(a, tol=1e-09)',
     'solve_disc_through_point': '(class_index, target, tol=1e-09)',
     'spin_configs': '(n)',
     'squarezero_chain': '(n, mu_a)',
@@ -706,8 +701,7 @@ def test_sizes_and_backends_are_not_parameters():
                 exterior.GradedMatrixComplex, floer.floer_ranks_bruteforce,
                 floer.floer_ranks_closedform, floer.FullDifferential,
                 floer.RankTable, floer.ScanCell, floer.WeightVector,
-                floer.HolonomyAssignment, oracle.koszul_rescale_check,
-                oracle.weighted_cocycle_preimage):
+                floer.HolonomyAssignment, oracle.koszul_rescale_check):
         params = inspect.signature(obj).parameters
         assert not {"n", "exact"} & set(params), (obj.__name__, list(params))
 
@@ -955,10 +949,77 @@ def test_scan_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN["spin-scan", 3][0]
 
 
+def count_brane_configs_drawn(monkeypatch):
+    """Wrap floer.brane_configs; returns the list its configs are added to."""
+    drawn, enumerate_configs = [], floer.brane_configs
+
+    def counted(n):
+        for config in enumerate_configs(n):
+            drawn.append(config)
+            yield config
+
+    monkeypatch.setattr(floer, "brane_configs", counted)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    return drawn
+
+
+def test_pooled_scan_streams_from_a_bounded_window(capsys, monkeypatch):
+    # the pool draws cells in windows, so the first record is written after
+    # two windows are built rather than after the whole enumeration
+    drawn = count_brane_configs_drawn(monkeypatch)
+    drawn_at_first_record, emit = [], cli._emit
+
+    def first_noted(record, fmt):
+        if not drawn_at_first_record:
+            drawn_at_first_record.append(len(drawn))
+        emit(record, fmt)
+
+    monkeypatch.setattr(cli, "_emit", first_noted)
+    code, out, err = run_cli(capsys, ["brane-scan", "4", "--jobs", "2"])
+    assert (code, err) == (0, SCAN_GOLDEN["brane-scan", 4][2])
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN["brane-scan", 4][0]
+    assert len(drawn) == 625
+    assert drawn_at_first_record == [2 * cli.POOL_WINDOW] and 2 * cli.POOL_WINDOW < 625
+
+
+def test_pooled_scan_stops_at_the_first_failing_cell(capsys, monkeypatch):
+    # the first cell fails: the scan exits 1 naming it, having drawn no more
+    # than the two windows in flight
+    drawn = count_brane_configs_drawn(monkeypatch)
+    monkeypatch.setattr(floer, "floer_ranks_closedform",
+                        lambda w, tol: floer.RankTable((0,) * (w.n + 1)))
+    code, out, err = run_cli(capsys, ["brane-scan", "4", "--jobs", "2"])
+    assert (code, out) == (1, "")
+    assert err == ("error: brute-force and closed-form rank tables disagree: "
+                   "RankTable(by_lambda_degree=(1, 4, 6, 4, 1)) vs "
+                   "RankTable(by_lambda_degree=(0, 0, 0, 0, 0)) "
+                   "(spin 1,1,1,1,1, holonomy 0/1 0/1 0/1 0/1)\n")
+    assert 0 < len(drawn) <= 2 * cli.POOL_WINDOW
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, ["selftest"])
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_selftest_fails_a_broken_check_under_python_O():
+    # -O strips assert statements; the checks must fail without them
+    script = ("import sys; from cftorus import cli, signs; "
+              "signs.squarezero_chain = lambda n, mu: (1, 1); "
+              "sys.exit(cli.main(['selftest']))")
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [
+        "ok   spin dichotomy ranks",
+        "ok   brane count n=2",
+        "ok   coboundary squares to zero",
+        "FAIL square-zero sign chain: n=1, mu=2: coefficients (1, 1)",
+        "ok   coboundary rescales to simplex",
+        "ok   numeric vs combinatorial index",
+        "ok   disc solver round-trip",
+    ]
 
 
 @pytest.mark.parametrize("argv,source", [

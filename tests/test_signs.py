@@ -6,8 +6,6 @@ from cftorus.signs import (
     OrientedFactor,
     OrientedFactorization,
     boundary_fibre_signs,
-    evaluation_orientation_sign,
-    fibre_product_sign,
     gluing_sign,
     moduli_dim,
     permute_sign,
@@ -59,31 +57,9 @@ def test_permute_sign_is_multiplicative():
         lhs = permute_sign(f, composed)
         # sign of rho on the original dims, then sigma on the rho-reordered dims
         inner = permute_sign(f, rho)
-        outer = permute_sign(f.permute(rho), sigma)
+        outer = permute_sign(OrientedFactorization(
+            tuple(f.factors[r] for r in rho)), sigma)
         assert lhs == inner * outer
-
-
-def test_transpose_tracks_adjacent_cost():
-    f = _factorization([3, 1, 2])
-    g = f.transpose(0)
-    assert g.sign == (-1) ** 3
-    assert [x.dim for x in g.factors] == [1, 3, 2]
-    assert g.total_dim == f.total_dim == 6
-
-
-def test_fibre_product_sign_convention():
-    out = fibre_product_sign(3, 2, 1)
-    assert out.sign == 1
-    assert [(f.label, f.dim) for f in out.factors] == [("X0", 1), ("P", 1)]
-    collapsed = fibre_product_sign(2, 2, 2)
-    assert collapsed.factors[0].dim == 0
-
-
-def test_fibre_product_sign_dimension_violations():
-    with pytest.raises(ValueError):
-        fibre_product_sign(1, 2, 1)
-    with pytest.raises(ValueError):
-        fibre_product_sign(3, 2, 3)
 
 
 def test_boundary_fibre_signs_values():
@@ -123,10 +99,6 @@ def test_squarezero_chain_rejects_odd_index():
         squarezero_chain(2, 3)
     with pytest.raises(ValueError):
         squarezero_chain(2, 0)
-
-
-def test_evaluation_quotient_convention_is_positive():
-    assert evaluation_orientation_sign() == 1
 
 
 def test_moduli_dimension_bookkeeping():
