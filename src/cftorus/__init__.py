@@ -3,8 +3,8 @@
 Library layout:
 
 * :mod:`cftorus.scalars`  -- exact cyclotomic / tolerance-based complex backends
-* :mod:`cftorus.exterior` -- exterior algebra, wedge matrices, ranks
-* :mod:`cftorus.floer`    -- spin structures, holonomies, the coboundary, scan cells
+* :mod:`cftorus.exterior` -- wedge matrices, the square-zero check, ranks
+* :mod:`cftorus.floer`    -- spin structures, holonomies, weights, disc classes, scan cells
 * :mod:`cftorus.discs`    -- Blaschke-product discs and the point solver
 * :mod:`cftorus.maslov`   -- numeric winding-number Maslov indices
 * :mod:`cftorus.signs`    -- Koszul reordering signs and the square-zero sign replay
@@ -42,14 +42,13 @@ _LAZY = {
     ), "scalars"),
     "exterior": "exterior",
     **dict.fromkeys((
-        "ExteriorClass", "GradedMatrixComplex", "NotAComplexError",
-        "cohomology_ranks", "index_sets", "koszul_complex", "rank", "wedge_by_vector",
+        "GradedMatrixComplex", "NotAComplexError", "cohomology_ranks",
+        "index_sets", "koszul_complex", "rank", "wedge_by_vector",
     ), "exterior"),
     "floer": "floer",
     **dict.fromkeys((
-        "FullDifferential", "HolonomyAssignment", "HomotopyClass",
-        "NovikovCochain", "RankTable", "SpinStructure", "WeightVector",
-        "brane_configs", "delta2", "dimension_deficit", "evaluate_cell",
+        "HolonomyAssignment", "HomotopyClass", "RankTable", "SpinStructure",
+        "WeightVector", "brane_configs", "evaluate_cell",
         "floer_ranks_bruteforce", "floer_ranks_closedform", "spin_configs",
         "standard_spin", "weights",
     ), "floer"),

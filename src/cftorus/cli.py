@@ -310,6 +310,7 @@ def _selftest_checks(tol: float):
     from fractions import Fraction
 
     from . import discs, maslov, oracle, signs
+    from .exterior import NotAComplexError
     from .floer import WeightVector, brane_configs, floer_ranks_bruteforce, spin_configs
 
     def spin_dichotomy():
@@ -332,8 +333,10 @@ def _selftest_checks(tol: float):
         rng = random.Random(7)
         for n in range(1, 5):
             v = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-            w = WeightVector.from_vector(v)
-            floer_ranks_bruteforce(w, tol)  # validates the composite
+            try:  # validates the composite
+                floer_ranks_bruteforce(WeightVector.from_vector(v), tol)
+            except NotAComplexError as exc:
+                _require(False, "n=%d, v=%s: %s", n, ",".join(map(str, v)), exc)
 
     def sign_chain():
         for n in range(1, 7):
@@ -488,7 +491,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except AssertionError as exc:  # a cell whose two rank routes disagree
+    except AssertionError as exc:  # a failed check, naming its cell
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 2

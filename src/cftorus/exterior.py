@@ -1,4 +1,4 @@
-"""Exterior algebra over a scalar backend.
+"""Wedge matrices on the exterior algebra, and their ranks.
 
 The cochain groups of the torus T^n are modelled by the exterior algebra
 on generators L_1,..,L_n.  A wedge monomial is keyed by its index set
@@ -17,32 +17,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .scalars import (
     DEFAULT_TOL,
     is_exact_scalar,
     scalar_is_zero,
-    scalar_str,
     scalar_to_complex,
 )
-
-IndexSet = Tuple[int, ...]
 
 
 class NotAComplexError(ValueError):
     """A graded matrix family whose consecutive composites are nonzero."""
-
-
-def validate_index_set(members: Sequence[int], n: int) -> IndexSet:
-    I = tuple(members)
-    if any(not isinstance(i, int) for i in I):
-        raise ValueError("index set members must be integers: %r" % (I,))
-    if any(not 1 <= i <= n for i in I):
-        raise ValueError("index set %r out of range 1..%d" % (I, n))
-    if any(I[k] >= I[k + 1] for k in range(len(I) - 1)):
-        raise ValueError("index set must be strictly increasing: %r" % (I,))
-    return I
 
 
 @lru_cache(maxsize=None)
@@ -58,82 +44,6 @@ def _basis_positions(n: int, k: int) -> dict:
     return {I: pos for pos, I in enumerate(index_sets(n, k))}
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class ExteriorClass:
-    """Formal linear combination of wedge monomials L_I over a scalar field."""
-
-    n: int
-    terms: dict
-
-    def __init__(self, n: int, terms=None, tol: float = DEFAULT_TOL):
-        stored = {}
-        for I, coeff in (terms or {}).items():
-            I = validate_index_set(I, n)
-            if not scalar_is_zero(coeff, tol):
-                stored[I] = stored[I] + coeff if I in stored else coeff
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", stored)
-
-    @classmethod
-    def unit(cls, n: int) -> "ExteriorClass":
-        """The point class <pt>: the empty wedge with coefficient 1."""
-        return cls(n, {(): 1})
-
-    @classmethod
-    def generator(cls, n: int, i: int) -> "ExteriorClass":
-        return cls(n, {(i,): 1})
-
-    @classmethod
-    def fundamental(cls, n: int) -> "ExteriorClass":
-        return cls(n, {tuple(range(1, n + 1)): 1})
-
-    def coefficient(self, I: Sequence[int]):
-        return self.terms.get(tuple(I), 0)
-
-    def __add__(self, other):
-        if not isinstance(other, ExteriorClass) or other.n != self.n:
-            return NotImplemented
-        merged = dict(self.terms)
-        for I, c in other.terms.items():
-            merged[I] = merged[I] + c if I in merged else c
-        return ExteriorClass(self.n, merged)
-
-    def __neg__(self):
-        return ExteriorClass(self.n, {I: -c for I, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ExteriorClass) or other.n != self.n:
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        return ExteriorClass(self.n, {I: scalar * c for I, c in self.terms.items()})
-
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(scalar_is_zero(c, tol) for c in self.terms.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, ExteriorClass) or other.n != self.n:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for I in sorted(self.terms, key=lambda t: (len(t), t)):
-            coeff = scalar_str(self.terms[I])
-            if " " in coeff or "," in coeff:
-                coeff = "(%s)" % coeff
-            parts.append("%s*L%s" % (coeff, list(I)) if I else coeff)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "ExteriorClass(n=%d, %s)" % (self.n, dict(self.terms))
-
-
 # ---------------------------------------------------------------------------
 # matrices in the lexicographic index-set basis: one {column: entry} dict
 # per row, holding that row's nonzero entries only
@@ -145,8 +55,7 @@ def wedge_by_vector(v: Sequence, k: int):
     Column at basis element I holds +-v_j in the row of I + {j}, the sign
     (-1)^(members of I below j) of wedging L_j onto L_I from the left; an
     entry is stored only when v_j is nonzero.  The global coboundary sign
-    (-1)^n is *not* included here; it never moves ranks and is applied by
-    callers that print coboundary values.
+    (-1)^n is left out: it never moves ranks.
     """
     n = len(v)
     if not 0 <= k <= n:

@@ -14,6 +14,15 @@ appears explicitly: its cycle is eliminated through
 L_0 = -L_1 - .. - L_n, which is where the differences c_j - c_0 come
 from.
 
+Only the Maslov index 2 discs contribute: the truncation of Cho-Oh
+(math/0308225).  Through a fixed boundary point, a disc class with
+intersection counts mu_0..mu_n moves at most one boundary phase per
+coordinate it crosses, so for 2 <= sum(mu) <= n its dimension deficit
+2*sum(mu) - 1 - support is at least sum(mu) - 1 > 0 and it contributes
+zero; a class with sum(mu) > n lowers the cochain degree past the model.
+With delta_0 = 0 on harmonic representatives, delta = delta_2 (x) e, and
+delta_2 is the wedging by v that `wedge_by_vector` builds.
+
 Everything downstream is decided by whether v vanishes: wedging by a
 nonzero vector is exact, wedging by zero is the zero map.  Ranks are
 computed both ways -- brute force from the matrices and in closed form --
@@ -28,15 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .exterior import (
-    ExteriorClass,
-    cohomology_ranks,
-    index_sets,
-    koszul_complex,
-    wedge_by_vector,
-)
+from .exterior import NotAComplexError, cohomology_ranks, koszul_complex
 from .scalars import (
     DEFAULT_TOL,
     ApproxComplex,
@@ -237,33 +240,6 @@ def weights(spin: SpinStructure, holonomy: HolonomyAssignment) -> WeightVector:
     return WeightVector(c, v)
 
 
-def _weights_at(w: WeightVector, tol: float) -> list:
-    """v with every weight that is zero at tol replaced by 0."""
-    return [0 if scalar_is_zero(x, tol) else x for x in w.v]
-
-
-def delta2(x: ExteriorClass, w: WeightVector, tol: float = DEFAULT_TOL) -> ExteriorClass:
-    """The minimal-disc coboundary (-1)**n (v_1 L_1 + .. + v_n L_n) ^ x.
-
-    Each degree-k part of x is multiplied by the rows of
-    `wedge_by_vector(v, k)`, the one builder of the coboundary, and the
-    result by (-1)**n; weights that are zero at tol are left out.
-    """
-    n = x.n
-    if n != w.n:
-        raise ValueError("class rank %d != weight rank %d" % (n, w.n))
-    v = _weights_at(w, tol)
-    out = {}
-    for k in sorted({len(I) for I in x.terms}):
-        basis = index_sets(n, k)
-        for J, row in zip(index_sets(n, k + 1), wedge_by_vector(v, k)):
-            for col, a in row.items():
-                if basis[col] in x.terms:
-                    c = a * x.terms[basis[col]]
-                    out[J] = out[J] + c if J in out else c
-    return ExteriorClass(n, {J: (-1) ** n * c for J, c in out.items()})
-
-
 @dataclass(frozen=True)
 class RankTable:
     """Cohomology ranks by internal wedge degree |I| = 0..n.
@@ -308,7 +284,7 @@ def floer_ranks_closedform(w: WeightVector, tol: float = DEFAULT_TOL) -> RankTab
 
 
 # ---------------------------------------------------------------------------
-# homotopy classes and the full Novikov-graded operator
+# disc homotopy classes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -337,121 +313,6 @@ class HomotopyClass:
     def boundary(self) -> Tuple[int, ...]:
         """Boundary class in H_1(T^n), via L_0 = -L_1 - .. - L_n."""
         return tuple(self.mu[j] - self.mu[0] for j in range(1, len(self.mu)))
-
-    def is_zero(self) -> bool:
-        return all(m == 0 for m in self.mu)
-
-
-def dimension_deficit(b: HomotopyClass) -> int:
-    """(mu(b) - 1) minus the largest possible evaluation-image dimension.
-
-    Through a fixed point, a disc in class b moves at most one boundary
-    phase per coordinate it actually crosses, so the image dimension is
-    at most the support size of mu; a positive deficit certifies that the
-    class contributes zero as a current.
-    """
-    if b.is_zero():
-        raise ValueError("deficit undefined for the zero class")
-    support = sum(1 for m in b.mu if m > 0)
-    return (b.maslov_index - 1) - support
-
-
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class NovikovCochain:
-    """Cochain with formal-variable coefficients: exponent -> class."""
-
-    n: int
-    parts: dict
-
-    def __init__(self, n: int, parts: Optional[Dict[int, ExteriorClass]] = None,
-                 tol: float = DEFAULT_TOL):
-        stored = {}
-        for exp, cls in (parts or {}).items():
-            if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
-                raise ValueError("exponents must be integers >= 0, got %r" % (exp,))
-            if cls.n != n:
-                raise ValueError("rank mismatch in cochain part")
-            if not cls.is_zero(tol):
-                stored[exp] = cls
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "parts", stored)
-
-    @classmethod
-    def from_class(cls, x: ExteriorClass, exp: int = 0) -> "NovikovCochain":
-        return cls(x.n, {exp: x})
-
-    def __add__(self, other):
-        if not isinstance(other, NovikovCochain) or other.n != self.n:
-            return NotImplemented
-        merged = dict(self.parts)
-        for exp, x in other.parts.items():
-            merged[exp] = merged[exp] + x if exp in merged else x
-        return NovikovCochain(self.n, merged)
-
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(x.is_zero(tol) for x in self.parts.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, NovikovCochain) or other.n != self.n:
-            return NotImplemented
-        exps = set(self.parts) | set(other.parts)
-        zero = ExteriorClass(self.n)
-        return all(self.parts.get(e, zero) == other.parts.get(e, zero) for e in exps)
-
-    __hash__ = None
-
-    def __str__(self):
-        if not self.parts:
-            return "0"
-        return " + ".join("(%s)*e^%d" % (self.parts[e], e) for e in sorted(self.parts))
-
-
-class FullDifferential:
-    """The graded operator delta = delta_0 + delta_2 (x) e on the model.
-
-    On harmonic representatives delta_0 vanishes, and every disc class of
-    index 4 or more has a positive dimension deficit, so the whole
-    operator is the minimal-disc term with one power of e (degree 2),
-    applied by `delta2`.  Construction verifies both facts: the deficit
-    of the least-deficit class of each index below the sphere-bubbling
-    threshold, and that the wedge-by-v family `koszul_complex` builds
-    from the weights nonzero at tol squares to zero.
-    """
-
-    e_exponent = 1
-
-    def __init__(self, w: WeightVector, tol: float = DEFAULT_TOL):
-        self.n = w.n
-        self.weights = w
-        self.tol = tol
-        self._verify_truncation()
-        self._verify_square_zero()
-
-    def _verify_truncation(self):
-        # every class with 2 <= sum(mu) <= n (index 4 .. 2n, all below the
-        # 2n+2 bubbling threshold) must have positive deficit 2*total - 1 -
-        # support; for total <= n the support is at most total, reached by
-        # total ones, so that class has the least deficit of its index
-        for total in range(2, self.n + 1):
-            mu = (1,) * total + (0,) * (self.n + 1 - total)
-            if dimension_deficit(HomotopyClass(mu)) <= 0:
-                raise AssertionError(
-                    "class %r of index %d has no dimension deficit"
-                    % (mu, 2 * total))
-
-    def _verify_square_zero(self):
-        koszul_complex(_weights_at(self.weights, self.tol)).validate(self.tol)
-
-    def apply(self, x: NovikovCochain) -> NovikovCochain:
-        if x.n != self.n:
-            raise ValueError("rank mismatch")
-        out = {}
-        for exp, cls in x.parts.items():
-            image = delta2(cls, self.weights, self.tol)
-            if not image.is_zero(self.tol):
-                key = exp + self.e_exponent
-                out[key] = out[key] + image if key in out else image
-        return NovikovCochain(self.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +347,22 @@ class ScanCell:
         }
 
 
+def _cell_name(spin: SpinStructure, holonomy: HolonomyAssignment) -> str:
+    """The suffix by which a failure message names its cell."""
+    return " (spin %s, holonomy %s)" % (
+        ",".join(map(str, spin.eps)), " ".join(holonomy.entry_strings()))
+
+
 def evaluate_cell(spin: SpinStructure, holonomy: HolonomyAssignment,
                   tol: float = DEFAULT_TOL) -> ScanCell:
     w = weights(spin, holonomy)
-    table = floer_ranks_bruteforce(w, tol)
+    try:
+        table = floer_ranks_bruteforce(w, tol)
+    except NotAComplexError as exc:
+        raise AssertionError("%s%s" % (exc, _cell_name(spin, holonomy))) from exc
     check = floer_ranks_closedform(w, tol)
     if table != check:
-        cell = " (spin %s, holonomy %s)" % (
-            ",".join(map(str, spin.eps)), " ".join(holonomy.entry_strings()))
+        cell = _cell_name(spin, holonomy)
         if w.exact:
             raise AssertionError(
                 "brute-force and closed-form rank tables disagree: %r vs %r%s"

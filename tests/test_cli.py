@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from cftorus import cli, floer, scalars
+from cftorus import cli, exterior, floer, oracle, scalars
 from cftorus.cli import main, parse_holonomy, parse_spin
 
 
@@ -242,6 +242,34 @@ def test_cell_refusals_name_the_cell(capsys, monkeypatch):
     assert code == 1 and out.count("\n") == 1
     assert err.startswith("error: brute-force and closed-form rank tables disagree")
     assert err.endswith("(spin -1,-1,1,1, holonomy 0/1 0/1 0/1)\n")
+
+
+def test_a_failed_square_zero_check_exits_1_naming_the_cell(capsys, monkeypatch):
+    # wedge rows whose sign never flips: D_1 o D_0 holds 2 v_i v_j, not zero
+    wedge = exterior.wedge_by_vector
+
+    def never_flipping(v, k):
+        cols = exterior.index_sets(len(v), k)
+        return [{c: v[min(set(J) - set(cols[c])) - 1] for c in row}
+                for J, row in zip(exterior.index_sets(len(v), k + 1), wedge(v, k))]
+
+    monkeypatch.setattr(exterior, "wedge_by_vector", never_flipping)
+    monkeypatch.setattr(oracle, "wedge_by_vector", never_flipping)
+    code, out, err = run_cli(capsys, ["brane-scan", "2"])
+    assert (code, out.count("\n")) == (1, 1)
+    assert err == ("error: composite D_1 o D_0 is not zero "
+                   "(spin 1,1,1, holonomy 0/1 1/3)\n")
+    code, out, err = run_cli(capsys, ["hf", "--n", "3", "--spin", "{1}",
+                                      "--holonomy", "0.6,0.8;0,1;-1,0"])
+    assert (code, out) == (1, "")
+    assert err == ("error: composite D_1 o D_0 is not zero "
+                   "(spin -1,-1,1,1, holonomy 0.6,0.8 0.0,1.0 -1.0,0.0)\n")
+    code, out, _ = run_cli(capsys, ["selftest"])
+    assert code == 1
+    assert "FAIL coboundary squares to zero: n=3, v=2,-3,-3: " \
+        "composite D_1 o D_0 is not zero\n" in out
+    assert "FAIL brane count n=2: composite D_1 o D_0 is not zero (spin 1,1,1, " \
+        "holonomy 0/1 1/3)\n" in out
 
 
 def test_holonomy_lcm_cap(capsys, monkeypatch):
@@ -580,12 +608,12 @@ def test_maslov_check_never_loads_the_exact_stack(module):
 #: submodules were imported eagerly
 PUBLIC_NAMES = """
     ApproxComplex BlaschkeComponent BlaschkeDisc BlaschkeFactor ChartError
-    Cyclotomic DEFAULT_TOL DegenerateDiscError ExteriorClass
-    FrameError FrameLoop FullDifferential GradedMatrixComplex HolonomyAssignment
+    Cyclotomic DEFAULT_TOL DegenerateDiscError
+    FrameError FrameLoop GradedMatrixComplex HolonomyAssignment
     HomotopyClass LagrangianFrame MoebiusMap NotAComplexError
-    NovikovCochain OrientedFactor OrientedFactorization RankTable SpinStructure
+    OrientedFactor OrientedFactorization RankTable SpinStructure
     UndersampledLoopError WeightVector b_map boundary_fibre_signs brane_configs
-    cohomology_ranks delta2 dimension_deficit
+    cohomology_ranks
     disc_boundary_maslov disc_eval disc_make discs evaluate_cell
     exterior floer
     floer_ranks_bruteforce floer_ranks_closedform gluing_sign
@@ -619,17 +647,14 @@ PUBLIC_SIGNATURES = {
     'ChartError': None,
     'Cyclotomic': '(order, coeffs)',
     'DegenerateDiscError': None,
-    'ExteriorClass': '(n, terms=None, tol=1e-09)',
     'FrameError': None,
     'FrameLoop': '(frames)',
-    'FullDifferential': '(w, tol=1e-09)',
     'GradedMatrixComplex': '(matrices, modulus=None)',
     'HolonomyAssignment': '(h=None, h0=None, angles=None, tol=1e-09)',
     'HomotopyClass': '(mu)',
     'LagrangianFrame': '(matrix, tol=1e-09)',
     'MoebiusMap': '(theta=0.0, a=0j)',
     'NotAComplexError': None,
-    'NovikovCochain': '(n, parts=None, tol=1e-09)',
     'OrientedFactor': '(label, dim)',
     'OrientedFactorization': '(factors)',
     'RankTable': '(by_lambda_degree)',
@@ -640,8 +665,6 @@ PUBLIC_SIGNATURES = {
     'boundary_fibre_signs': '(x, l)',
     'brane_configs': '(n)',
     'cohomology_ranks': '(cx, tol=1e-09)',
-    'delta2': '(x, w, tol=1e-09)',
-    'dimension_deficit': '(b)',
     'disc_boundary_maslov': '(d, tol=1e-09, samples=256, max_samples=16384)',
     'disc_eval': '(d, z)',
     'disc_make': '(components, tol=1e-09)',
@@ -699,9 +722,9 @@ def test_sizes_and_backends_are_not_parameters():
 
     for obj in (exterior.wedge_by_vector, exterior.koszul_complex,
                 exterior.GradedMatrixComplex, floer.floer_ranks_bruteforce,
-                floer.floer_ranks_closedform, floer.FullDifferential,
-                floer.RankTable, floer.ScanCell, floer.WeightVector,
-                floer.HolonomyAssignment, oracle.koszul_rescale_check):
+                floer.floer_ranks_closedform, floer.RankTable, floer.ScanCell,
+                floer.WeightVector, floer.HolonomyAssignment,
+                oracle.koszul_rescale_check):
         params = inspect.signature(obj).parameters
         assert not {"n", "exact"} & set(params), (obj.__name__, list(params))
 

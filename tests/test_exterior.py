@@ -8,7 +8,6 @@ import pytest
 
 from cftorus import exterior
 from cftorus.exterior import (
-    ExteriorClass,
     GradedMatrixComplex,
     NotAComplexError,
     _rank_svd,
@@ -19,7 +18,6 @@ from cftorus.exterior import (
     rank,
     wedge_by_vector,
 )
-from cftorus.floer import WeightVector, delta2
 from cftorus.scalars import ApproxComplex, reduce_mod_p, root_of_unity, scalar_str
 from reference import (
     dense,
@@ -353,38 +351,3 @@ def test_matrix_serializes_to_scalar_strings():
 
 def test_basis_order_is_lexicographic():
     assert index_sets(4, 2) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-
-# -- ExteriorClass ------------------------------------------------------------
-
-def test_exterior_class_normalizes_away_zeros():
-    x = ExteriorClass(3, {(1,): 0, (2,): 5})
-    assert (1,) not in x.terms
-    assert x.coefficient((2,)) == 5
-
-
-def test_exterior_class_wedge_generator_signs():
-    # L_j wedged onto x is (-1)^n delta2(x, e_j), e_j the j-th unit weight vector
-    x = ExteriorClass(3, {(1, 3): 1})
-
-    def e(j):
-        return WeightVector.from_vector([int(i == j) for i in range(1, 4)])
-
-    assert (-1) ** 3 * delta2(x, e(2)).coefficient((1, 2, 3)) == -1
-    assert delta2(x, e(1)).is_zero()
-
-
-def test_exterior_class_algebra():
-    a = ExteriorClass.unit(2)
-    b = ExteriorClass.generator(2, 1)
-    total = a + b - a
-    assert total == b
-    assert (2 * b).coefficient((1,)) == 2
-    assert ExteriorClass.fundamental(2).coefficient((1, 2)) == 1
-
-
-def test_exterior_class_rejects_bad_index_sets():
-    with pytest.raises(ValueError):
-        ExteriorClass(2, {(2, 1): 1})
-    with pytest.raises(ValueError):
-        ExteriorClass(2, {(3,): 1})

@@ -7,29 +7,18 @@ import math
 import pickle
 import random
 import re
-import time
 from fractions import Fraction
 
 import pytest
 
-from cftorus import floer
-from cftorus.exterior import (
-    ExteriorClass,
-    cohomology_ranks,
-    index_sets,
-    koszul_complex,
-)
+from cftorus.exterior import cohomology_ranks, koszul_complex
 from cftorus.floer import (
-    FullDifferential,
     HolonomyAssignment,
     HomotopyClass,
-    NovikovCochain,
     RankTable,
     SpinStructure,
     WeightVector,
     brane_configs,
-    delta2,
-    dimension_deficit,
     evaluate_cell,
     floer_ranks_bruteforce,
     floer_ranks_closedform,
@@ -38,7 +27,7 @@ from cftorus.floer import (
     weights,
 )
 from cftorus.scalars import ApproxComplex, prime_field, root_of_unity, simplify_exact
-from reference import dense, matrix_is_zero, reference_delta2, reference_matmul
+from reference import dense, matrix_is_zero, reference_matmul
 
 
 # -- spin structures -----------------------------------------------------------
@@ -251,116 +240,12 @@ def test_weight_vector_reads_its_backend_from_its_entries():
     assert not WeightVector.from_vector([0, ApproxComplex(0.5)]).exact
 
 
-# -- the coboundary ------------------------------------------------------------
-
-def test_delta2_kills_point_class_when_weights_vanish():
-    w = weights(standard_spin(2), HolonomyAssignment.trivial(2))
-    assert delta2(ExteriorClass.unit(2), w).is_zero()
-
-
-def test_delta2_point_class_exact_cyclotomic_example():
-    # h = (1, a) with a the primitive cube root: the derived zeroth
-    # holonomy is a^2 and the image is (1-a^2) L_1 + (a-a^2) L_2
-    a = root_of_unity(1, 3)
-    hol = HolonomyAssignment.from_angles([Fraction(0), Fraction(1, 3)])
-    w = weights(standard_spin(2), hol)
-    out = delta2(ExteriorClass.unit(2), w)
-    assert not out.is_zero()
-    assert out.coefficient((1,)) == 1 - a * a
-    assert out.coefficient((2,)) == a - a * a
-
-
-def test_delta2_on_generator_picks_up_insertion_sign():
-    w = WeightVector.from_vector([0, Fraction(5)])
-    out = delta2(ExteriorClass.generator(2, 1), w)
-    assert out.coefficient((1, 2)) == -5
-
-
-def test_delta2_carries_global_parity_sign():
-    # odd n flips every printed coefficient; ranks never see it
-    out = delta2(ExteriorClass.unit(3), WeightVector.from_vector([2, 0, 0]))
-    assert out.coefficient((1,)) == -2
-
-
 def test_weight_vector_trivial_iff_all_c_equal():
     rng = random.Random(55)
     for _ in range(50):
         c = [rng.choice([-1, 1]) for _ in range(4)]
         w = WeightVector(c, [cj - c[0] for cj in c[1:]])
         assert w.is_trivial() == (len(set(c)) == 1)
-
-
-def test_delta2_squares_to_zero_on_all_basis_classes():
-    rng = random.Random(23)
-    for n in range(1, 5):
-        v = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        w = WeightVector.from_vector(v)
-        for k in range(n + 1):
-            for I in index_sets(n, k):
-                x = ExteriorClass(n, {I: 1})
-                assert delta2(delta2(x, w), w).is_zero()
-
-
-def test_delta2_rank_mismatch_rejected():
-    w = WeightVector.from_vector([1])
-    with pytest.raises(ValueError):
-        delta2(ExteriorClass.unit(2), w)
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_delta2_matches_alternating_removal_expansion(n):
-    # independent oracle: the J-coefficient of the image of sum A_I L_I is
-    # (-1)^n sum_s (-1)^(s-1) v_(j_s) A_(J minus its s-th member)
-    rng = random.Random(600 + n)
-    for _ in range(5):
-        v = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        w = WeightVector.from_vector(v)
-        for k in range(n):
-            coeffs = {I: Fraction(rng.randint(-4, 4)) for I in index_sets(n, k)}
-            image = delta2(ExteriorClass(n, coeffs), w)
-            for J in index_sets(n, k + 1):
-                expected = Fraction(0)
-                for s, j in enumerate(J):
-                    removed = J[:s] + J[s + 1:]
-                    expected += (-1) ** s * v[j - 1] * coeffs.get(removed, 0)
-                assert image.coefficient(J) == (-1) ** n * expected
-
-
-#: the four scalar kinds a class or weight can hold, each as a seeded draw
-SCALAR_KINDS = {
-    "int": lambda rng: rng.randint(-3, 3),
-    "fraction": lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-    "cyclotomic": lambda rng: (rng.randint(-2, 2) * root_of_unity(rng.randrange(5), 5)
-                               + rng.randint(-1, 1)),
-    "approx": lambda rng: ApproxComplex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-}
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_delta2_equals_the_per_generator_route(n):
-    # the rows of wedge_by_vector against one insert_sign pass per generator;
-    # approximate weights include 1e-12 (zero at both tolerances) and 1e-5
-    # (zero at 1e-3 only, but above the tolerance a class drops terms at)
-    rng = random.Random("delta2-%d" % n)
-    basis = [I for k in range(n + 1) for I in index_sets(n, k)]
-    for kind, draw in SCALAR_KINDS.items():
-        for tol in (1e-9, 1e-3):
-            for _ in range(7):
-                v = [draw(rng) for _ in range(n)]
-                if kind == "approx":
-                    v = [rng.choice([x, x, ApproxComplex(1e-12), ApproxComplex(0, 1e-5)])
-                         for x in v]
-                x = ExteriorClass(n, {I: draw(rng) for I in rng.sample(
-                    basis, rng.randint(1, len(basis)))})
-                got = delta2(x, WeightVector.from_vector(v), tol).terms
-                want = reference_delta2(x.terms, v, tol)
-                if kind == "approx":
-                    assert got.keys() == want.keys(), (v, x, tol)
-                    assert all(abs(got[J] - want[J]) <= 1e-12 for J in got), (v, x, tol)
-                else:
-                    assert got == want, (v, x, tol)
-                    assert {J: type(c) for J, c in got.items()} == \
-                        {J: type(c) for J, c in want.items()}, (v, x, tol)
 
 
 # -- rank tables -----------------------------------------------------------------
@@ -479,26 +364,7 @@ def test_rank_tables_invariant_under_common_unit_scaling():
             assert floer_ranks_bruteforce(w) == floer_ranks_bruteforce(scaled)
 
 
-# -- homotopy classes and the full operator ----------------------------------
-
-def test_dimension_deficit_minimal_class_contributes():
-    beta0 = HomotopyClass((1, 0, 0, 0))
-    assert beta0.maslov_index == 2
-    assert dimension_deficit(beta0) == 0
-
-
-def test_dimension_deficit_split_class():
-    assert dimension_deficit(HomotopyClass((1, 1, 0, 0))) == 1
-
-
-def test_dimension_deficit_double_cover_class():
-    assert dimension_deficit(HomotopyClass((2, 0, 0))) == 2
-
-
-def test_dimension_deficit_rejects_zero_class():
-    with pytest.raises(ValueError):
-        dimension_deficit(HomotopyClass((0, 0)))
-
+# -- homotopy classes ------------------------------------------------------------
 
 def test_homotopy_class_boundary_elimination():
     assert HomotopyClass((0, 1, 0)).boundary == (1, 0)
@@ -506,67 +372,9 @@ def test_homotopy_class_boundary_elimination():
     assert HomotopyClass((2, 0, 0)).boundary == (-2, -2)
 
 
-def test_full_differential_zero_operator_for_trivial_weights():
-    w = weights(standard_spin(2), HolonomyAssignment.trivial(2))
-    op = FullDifferential(w)
-    assert op.weights.is_trivial(op.tol)
-    assert op.apply(NovikovCochain.from_class(ExteriorClass.unit(2))).is_zero()
-
-
-def test_full_differential_square_zero_and_e_exponent():
-    w = WeightVector.from_vector([0, 2])
-    op = FullDifferential(w)
-    assert not op.weights.is_trivial(op.tol)
-    assert FullDifferential.e_exponent == 1
-    image = op.apply(NovikovCochain.from_class(ExteriorClass.unit(2)))
-    assert set(image.parts) == {1}
-    assert op.apply(image).is_zero()
-
-
-def compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_truncation_checks_the_least_deficit_class_of_each_index(monkeypatch, n):
-    # one class per total 2..n, and it has the least deficit of every
-    # composition of that total, so all of them have a positive deficit
-    checked = []
-
-    def recorded(b):
-        checked.append(b.mu)
-        return dimension_deficit(b)
-
-    monkeypatch.setattr(floer, "dimension_deficit", recorded)
-    FullDifferential(WeightVector.from_vector([1] * n))
-    assert [sum(mu) for mu in checked] == list(range(2, n + 1))
-    for mu in checked:
-        least = min(dimension_deficit(HomotopyClass(c))
-                    for c in compositions(sum(mu), n + 1))
-        assert dimension_deficit(HomotopyClass(mu)) == least > 0
-    if n >= 2:
-        monkeypatch.setattr(floer, "dimension_deficit", lambda b: 0)
-        with pytest.raises(AssertionError, match="of index 4 has no dimension deficit"):
-            FullDifferential(WeightVector.from_vector([1] * n))
-
-
-def test_full_differential_at_the_largest_n_within_budget():
-    # hf's limit n = 12: build the operator (both checks) and apply it twice
-    # to the sum of the middle-degree basis classes
-    start = time.perf_counter()
-    op = FullDifferential(WeightVector.from_vector([1] * 12))
-    x = NovikovCochain.from_class(ExteriorClass(12, dict.fromkeys(index_sets(12, 6), 1)))
-    once = op.apply(x)
-    twice = op.apply(once)
-    elapsed = time.perf_counter() - start
-    assert set(once.parts) == {1} and not once.is_zero()
-    assert twice.is_zero()
-    assert elapsed < 2.0, elapsed
+def test_homotopy_class_maslov_index_is_twice_the_count():
+    assert HomotopyClass((1, 0, 0, 0)).maslov_index == 2
+    assert HomotopyClass((2, 1, 0)).maslov_index == 6
 
 
 @pytest.mark.parametrize("mu", [("a", 1), (None, 1), (True, 1), (1, 2.0), (0, -1)])
@@ -574,19 +382,6 @@ def test_homotopy_class_refuses_non_integer_counts_by_name(mu):
     bad = next(m for m in mu if type(m) is not int or m < 0)
     with pytest.raises(ValueError, match="got %s in" % re.escape(repr(bad))):
         HomotopyClass(mu)
-
-
-def test_cochain_refuses_a_bool_exponent():
-    with pytest.raises(ValueError, match="got True"):
-        NovikovCochain(2, {True: ExteriorClass.unit(2)})
-
-
-def test_full_differential_shifts_exponent_by_one():
-    w = WeightVector.from_vector([1, 0, 0])
-    op = FullDifferential(w)
-    start = NovikovCochain.from_class(ExteriorClass.generator(3, 2), exp=2)
-    out = op.apply(start)
-    assert set(out.parts) == {3}
 
 
 # -- scans -----------------------------------------------------------------------
@@ -758,11 +553,9 @@ def _value_samples():
     return [
         root_of_unity(2, 5) + Fraction(1, 3),
         ApproxComplex(0.25, -1.5),
-        ExteriorClass(2, {(1,): root_of_unity(1, 3), (1, 2): Fraction(-2)}),
         exact,
         approx,
         weights(standard_spin(2), exact),
-        NovikovCochain.from_class(ExteriorClass.generator(2, 1), 3),
         evaluate_cell(standard_spin(2), exact),
     ]
 
