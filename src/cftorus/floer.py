@@ -121,7 +121,7 @@ class HolonomyAssignment:
     p/q (fractions of a full turn), and then from them alone, so its
     values and labels cannot disagree.  Approximate ones take complex
     values h, h0 of unit modulus within the tolerance, which also bounds
-    |h_0 * h_1 * .. * h_n - 1|.
+    |h_0 * h_1 * .. * h_n - 1|, and refuse exact values.
     """
 
     h: tuple
@@ -144,6 +144,10 @@ class HolonomyAssignment:
         object.__setattr__(self, "h", tuple(h))
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "angles", tuple(angles) if angles is not None else None)
+        exact = [] if self.exact else [x for x in (*self.h, h0) if is_exact_scalar(x)]
+        if exact:
+            raise ValueError("holonomy value %s is exact; build exact holonomies "
+                             "from their angles with from_angles" % (exact[0],))
         prod = h0
         for x in self.h:
             prod = prod * x

@@ -14,8 +14,6 @@ member).  Two facts get exercised here:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exterior import index_sets, rank, wedge_by_vector, _basis_positions
 from .scalars import DEFAULT_TOL, scalar_is_zero
 
@@ -33,12 +31,12 @@ def simplex_coboundary(n: int, k: int):
 def koszul_rescale_check(w, tol: float = DEFAULT_TOL) -> bool:
     """Conjugate the weighted coboundary into the bare simplex coboundary.
 
-    `w` is a weight vector or its n weights, every one nonzero.  For each
-    degree k the wedge matrix rescaled by diag(prod_(i in I) v_i) must
-    equal `simplex_coboundary` (both sides of the full coboundary's check
-    carry the same (-1)**n).  Weight vectors with some zero entries are
-    out of scope here; their vanishing is covered by the brute-force rank
-    computation directly.
+    `w` is a weight vector or its n weights, every one nonzero.  With
+    s(I) = prod_(i in I) v_i, the wedge rows D and `simplex_coboundary`
+    rows S of each degree must satisfy D diag(s) = diag(s) S, checked entry
+    by entry without dividing (both sides of the full coboundary's check
+    carry the same (-1)**n).  Weight vectors with some zero entries are out
+    of scope; the brute-force ranks cover their vanishing directly.
     """
     v = list(w.v) if hasattr(w, "v") else list(w)
     n = len(v)
@@ -53,10 +51,10 @@ def koszul_rescale_check(w, tol: float = DEFAULT_TOL) -> bool:
         cols = index_sets(n, k)
         for J, row, want in zip(index_sets(n, k + 1), wedge_by_vector(v, k),
                                 simplex_coboundary(n, k)):
-            inv = Fraction(1) / scale[J]
+            bound = tol * abs(complex(scale[J]))
             for c in row.keys() | want.keys():
-                rescaled = inv * row.get(c, 0) * scale[cols[c]]
-                if not scalar_is_zero(rescaled - want.get(c, 0), tol):
+                if not scalar_is_zero(row.get(c, 0) * scale[cols[c]]
+                                      - want.get(c, 0) * scale[J], bound):
                     return False
     return True
 

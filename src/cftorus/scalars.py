@@ -2,10 +2,10 @@
 
 Two backends feed every linear-algebra routine in this package:
 
-* exact: :class:`Cyclotomic`, elements of the cyclotomic field Q(zeta_m)
-  with rational coordinates.  Zero testing is exact, which is what decides
-  the knife-edge vanishing dichotomies downstream -- a holonomy weight is
-  either exactly zero or it is not.
+* exact: :class:`Cyclotomic`, the ring Q(zeta_m) with rational
+  coordinates under +, - and * (nothing divides one).  Zero testing is
+  exact, which is what decides the knife-edge vanishing dichotomies
+  downstream -- a holonomy weight is either exactly zero or it is not.
 * approximate: :class:`ApproxComplex`, a ``complex`` subclass whose
   arithmetic returns builtin ``complex``; the zero test compares against a
   tolerance (default ``DEFAULT_TOL``).
@@ -15,9 +15,9 @@ The exact dense rank route does not compute in Q(zeta_m) itself:
 p = 1 (mod m), refusing any nonzero entry that would vanish there.
 
 Rational angles ("p/q" of a full turn) are routed to the exact backend,
-decimal inputs to the approximate one; mixing the two promotes everything
-to approximate: a ``Cyclotomic`` combined with a ``float`` or ``complex``
-gives an ``ApproxComplex``.
+decimal inputs to the approximate one; ``cli.parse_holonomy`` promotes a
+mixed input to approximate, and a ``Cyclotomic`` with a ``float`` or
+``complex`` operand raises ``TypeError``.
 
 All values are immutable after construction and pickle, so they can be
 sent to worker processes; every operation here is a pure function, safe
@@ -27,11 +27,10 @@ for concurrent use.
 from __future__ import annotations
 
 import cmath
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable
 
 # defined in the package root, so the disc path need not run this module
@@ -110,14 +109,6 @@ class Cyclotomic:
     def from_rational(cls, value) -> "Cyclotomic":
         return cls(1, [Fraction(value)])
 
-    @classmethod
-    def zero(cls) -> "Cyclotomic":
-        return cls(1, [0])
-
-    @classmethod
-    def one(cls) -> "Cyclotomic":
-        return cls(1, [1])
-
     # -- promotion ---------------------------------------------------------
 
     def with_order(self, new_order: int) -> "Cyclotomic":
@@ -134,25 +125,12 @@ class Cyclotomic:
                 lifted[k * step] = c
         return Cyclotomic(new_order, lifted)
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, Cyclotomic):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Cyclotomic.from_rational(value)
-        return None
-
-    def _approx(self, other, op):
-        """op(self, other) on the approximate backend for a float or complex operand."""
-        if not isinstance(other, (float, complex)):
-            return NotImplemented
-        return ApproxComplex(op(self.to_complex(), other))
-
     def _pair(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is None:
-            return None, None
-        m = self.order * other.order // gcd(self.order, other.order)
+        if isinstance(other, (int, Fraction)):
+            other = Cyclotomic.from_rational(other)
+        elif not isinstance(other, Cyclotomic):
+            return None, None  # a float or complex: the operators return NotImplemented
+        m = lcm(self.order, other.order)
         return self.with_order(m), other.with_order(m)
 
     # -- ring operations ----------------------------------------------------
@@ -160,7 +138,7 @@ class Cyclotomic:
     def __add__(self, other):
         a, b = self._pair(other)
         if a is None:
-            return self._approx(other, operator.add)
+            return NotImplemented
         return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
     __radd__ = __add__
@@ -171,7 +149,7 @@ class Cyclotomic:
     def __sub__(self, other):
         a, b = self._pair(other)
         if a is None:
-            return self._approx(other, operator.sub)
+            return NotImplemented
         return Cyclotomic(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
 
     def __rsub__(self, other):
@@ -180,7 +158,7 @@ class Cyclotomic:
     def __mul__(self, other):
         a, b = self._pair(other)
         if a is None:
-            return self._approx(other, operator.mul)
+            return NotImplemented
         m = a.order
         out = [Fraction(0)] * m
         b_terms = [(j, bj) for j, bj in enumerate(b.coeffs) if bj]
@@ -191,62 +169,6 @@ class Cyclotomic:
         return Cyclotomic(m, out)
 
     __rmul__ = __mul__
-
-    def galois(self, k: int) -> "Cyclotomic":
-        """Image under the automorphism zeta -> zeta^k; k must be a unit mod order."""
-        m = self.order
-        if gcd(k, m) != 1:
-            raise ValueError("zeta -> zeta^%d is not an automorphism of Q(zeta_%d)"
-                             % (k, m))
-        out = [Fraction(0)] * m
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[j * k % m] = c
-        return Cyclotomic(m, out)
-
-    def inverse(self) -> "Cyclotomic":
-        """Product of the other Galois conjugates, divided by the norm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic value")
-        m = self.order
-        others = Cyclotomic.one()
-        for k in range(2, m):
-            if gcd(k, m) == 1:
-                others = others * self.galois(k)
-        norm = self * others
-        if not norm.is_rational():
-            raise AssertionError("Galois norm of %r is not rational" % (self,))
-        return Cyclotomic(m, [c / norm.coeffs[0] for c in others.coeffs])
-
-    def __truediv__(self, other):
-        other_c = Cyclotomic._coerce(other)
-        if other_c is None:
-            return self._approx(other, operator.truediv)
-        return self * other_c.inverse()
-
-    def __rtruediv__(self, other):
-        other_c = Cyclotomic._coerce(other)
-        if other_c is None:
-            return self._approx(other, lambda z, w: w / z)
-        return other_c * self.inverse()
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Cyclotomic.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def conjugate(self) -> "Cyclotomic":
-        return self.galois(-1)
 
     # -- predicates ----------------------------------------------------------
 
@@ -262,8 +184,6 @@ class Cyclotomic:
     def __eq__(self, other):
         a, b = self._pair(other)
         if a is None:
-            if isinstance(other, (float, complex)):
-                return self.to_complex() == other
             return NotImplemented
         return a.coeffs == b.coeffs
 

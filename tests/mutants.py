@@ -76,6 +76,19 @@ MUTANTS = [
            'raise AssertionError("%s%s" % (exc, _cell_name(spin, holonomy))) from exc',
            "raise",
            ("tests/test_cli.py", "-k", "failed_square_zero")),
+    Mutant("cyclotomic-left-unreduced", "src/cftorus/scalars.py",
+           "_divide_monic(folded, cyclotomic_polynomial(order))", "pass",
+           ("tests/test_scalars.py",)),
+    Mutant("promotion-ignores-the-step", "src/cftorus/scalars.py",
+           "lifted[k * step] = c", "lifted[k] = c",
+           ("tests/test_scalars.py",)),
+    Mutant("rescale-check-drops-the-row-scale", "src/cftorus/oracle.py",
+           "want.get(c, 0) * scale[J]", "want.get(c, 0)",
+           ("tests/test_oracle.py",)),
+    Mutant("weights-ignore-eps0", "src/cftorus/floer.py",
+           "zip(spin.eps, holonomy.with_h0())",
+           "zip((1, *spin.eps[1:]), holonomy.with_h0())",
+           ("tests/test_floer.py", "-k", "disc_derived")),
 ]
 
 #: name -> why no test can tell the mutant from the original

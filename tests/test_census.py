@@ -87,13 +87,9 @@ UNREACHED = {
     "maslov:_check_unitary", "maslov:_plane_invariants",
     # the simplex ranks that the oracle tests compare against
     "oracle:simplex_rank_profile",
-    # Cyclotomic division, Galois action, powers, conjugate, constants and
-    # string and complex forms: the commands add, subtract, multiply and
-    # reduce mod p only
-    "scalars:Cyclotomic.zero", "scalars:Cyclotomic.one", "scalars:Cyclotomic.galois",
-    "scalars:Cyclotomic.conjugate", "scalars:Cyclotomic.inverse",
-    "scalars:Cyclotomic.__truediv__", "scalars:Cyclotomic.__rtruediv__",
-    "scalars:Cyclotomic.__pow__", "scalars:Cyclotomic._approx",
+    # Cyclotomic's string and complex forms, for the approximate routes and
+    # refusal messages: the commands add, subtract, multiply and reduce mod
+    # p only
     "scalars:Cyclotomic.to_complex", "scalars:Cyclotomic.__complex__",
     "scalars:Cyclotomic.__repr__", "scalars:Cyclotomic.__str__",
 }

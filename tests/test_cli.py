@@ -943,6 +943,21 @@ def test_exact_commands_in_a_fresh_interpreter(argv, digest):
     assert hashlib.sha256(done.stdout).hexdigest() == digest
 
 
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # a reader that stops after one line, as `cftorus brane-scan 4 | head -1`
+    # does: the scan's 111 kB of records overfill the pipe, so it is still
+    # writing when the pipe closes
+    proc = subprocess.Popen([sys.executable, "-m", "cftorus", "brane-scan", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=CHILD_ENV)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert (proc.wait(timeout=60), err) == (141, "")
+    assert json.loads(first)["holonomy"] == ["0/1"] * 4
+
+
 def test_scan_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     # a recorder stands in for the pool, so no worker process starts
     seen = []

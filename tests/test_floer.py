@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from cftorus.discs import disc_eval, homotopy_class, solve_disc_through_point
 from cftorus.exterior import cohomology_ranks, koszul_complex
 from cftorus.floer import (
     HolonomyAssignment,
@@ -26,7 +27,14 @@ from cftorus.floer import (
     standard_spin,
     weights,
 )
-from cftorus.scalars import ApproxComplex, prime_field, root_of_unity, simplify_exact
+from cftorus.maslov import winding_number
+from cftorus.scalars import (
+    ApproxComplex,
+    prime_field,
+    reduce_mod_p,
+    root_of_unity,
+    simplify_exact,
+)
 from reference import dense, matrix_is_zero, reference_matmul
 
 
@@ -135,6 +143,22 @@ def test_exact_holonomies_are_built_from_their_angles_alone():
     cell = evaluate_cell(standard_spin(2), direct)
     assert cell.to_json_dict()["holonomy"] == ["1/3", "0/1"]
     assert cell.table.by_lambda_degree == (0, 0, 0)
+
+
+def test_value_route_refuses_exact_values():
+    # an exact value taken on the (h, h0) route made an assignment that was
+    # not exact, whose cell was ranked over F_p as exact weights yet
+    # reported with "backend": "approx" and a holonomy entry "1*z3"
+    z3 = root_of_unity(1, 3)
+    for h, h0, named in (([1, 1], 1, "1"), ([z3, z3], z3, "1*z3"),
+                         ([ApproxComplex(1.0)], Fraction(1), "1")):
+        with pytest.raises(ValueError, match=r"^holonomy value %s is exact; .* from_angles$"
+                           % re.escape(named)):
+            HolonomyAssignment(h, h0)
+    # from_values still converts numbers to the approximate backend
+    hol = HolonomyAssignment.from_values([1, Fraction(1), z3])
+    assert not hol.exact
+    assert evaluate_cell(standard_spin(3), hol).to_json_dict()["backend"] == "approx"
 
 
 def test_from_values_sweep_returns_a_unit_product_or_refuses():
@@ -457,18 +481,69 @@ def angle_key_nonvanishing(spin, keys, q):
                 for a, e in zip(all_keys, spin.eps)}) == 1
 
 
+def disc_boundary_classes(n, rng):
+    """[d_beta_0, .., d_beta_n], each wound off the boundary of a minimal disc.
+
+    Each minimal disc passes through one seeded torus point; its class in
+    H_1(T^n) is the winding of z_i/z_0 (i = 1..n) around the boundary,
+    held to the class the disc's zero counts give.
+    """
+    target = [cmath.exp(2j * math.pi * rng.random()) for _ in range(n)]
+    circle = [cmath.exp(2j * math.pi * k / 32) for k in range(32)]
+    classes = []
+    for j in range(n + 1):
+        d = solve_disc_through_point(j, target)
+        points = [disc_eval(d, z) for z in circle]
+        wound = tuple(winding_number([p[i] / p[0] for p in points])
+                      for i in range(1, n + 1))
+        assert wound == homotopy_class(d).boundary, (n, j)
+        classes.append(wound)
+    return classes
+
+
+def disc_holonomies(hol, classes):
+    """[(z_j, -z_j)] for j = 0..n, z_j = zeta^<theta, d_beta_j> in Q(zeta_q),
+    theta the holonomy angles and q the lcm of their denominators."""
+    q = math.lcm(*(t.denominator for t in hol.angles))
+    keys = [t.numerator * (q // t.denominator) for t in hol.angles]
+    roots = (root_of_unity(sum(t * k for t, k in zip(keys, b)), q) for b in classes)
+    return [(z, -z) for z in roots]
+
+
+def disc_weights(spin, holonomies, classes):
+    """c_j = (-1)^<a, d_beta_j> z_j, a the spin's label bits: eps_0 and h_0
+    come out of d_beta_0 rather than being put in."""
+    a = spin.label_bits()
+    return [pair[sum(x * k for x, k in zip(a, b)) % 2]
+            for pair, b in zip(holonomies, classes)]
+
+
 @pytest.mark.parametrize("n,cells,hits", [(1, 8, 4), (2, 144, 12), (3, 4096, 32)])
 def test_mixed_spin_holonomy_grid_matches_the_angle_keys(n, cells, hits):
     # every spin structure against every angle tuple in (1/q)Z, q = 2(n+1):
     # this grid holds the cells no scan has, where a twist eps_j = -1 meets
-    # a half-turn h_j = -1 and the two cancel
+    # a half-turn h_j = -1 and the two cancel.  The signs and holonomies
+    # read off the discs give floer.weights on every cell, and the table
+    # built from them alone, through koszul_complex, is evaluate_cell's
     q = 2 * (n + 1)
+    classes = disc_boundary_classes(n, random.Random("disc-grid-%d" % n))
+    spins = [SpinStructure.from_subset([i + 1 for i in range(n) if bits >> i & 1], n)
+             for bits in range(1 << n)]
     seen = survivors = cancelling = 0
-    for bits in range(1 << n):
-        spin = SpinStructure.from_subset([i + 1 for i in range(n) if bits >> i & 1], n)
-        for keys in itertools.product(range(q), repeat=n):
-            hol = HolonomyAssignment.from_angles([Fraction(a, q) for a in keys])
+    for keys in itertools.product(range(q), repeat=n):
+        hol = HolonomyAssignment.from_angles([Fraction(a, q) for a in keys])
+        holonomies = disc_holonomies(hol, classes)
+        for spin in spins:
             cell = evaluate_cell(spin, hol)
+            c = disc_weights(spin, holonomies, classes)
+            assert c == list(weights(spin, hol).c), (spin.eps, keys)
+            # signed roots of unity stay distinct mod p, so the residues of
+            # c_j - c_0 are differences of the residues of c
+            p, r = reduce_mod_p(c)
+            assert [x == r[0] for x in r] == [cj == c[0] for cj in c]
+            v = [(x - r[0]) % p for x in r[1:]]
+            assert tuple(cohomology_ranks(koszul_complex(v, p))) == \
+                cell.table.by_lambda_degree
             want = angle_key_nonvanishing(spin, keys, q)
             assert cell.table.nonvanishing == want, (spin.eps, keys)
             assert cell.table.by_lambda_degree == (
@@ -534,6 +609,21 @@ def test_seeded_mixed_sweep_at_lcm_720_matches_the_angle_keys(n):
     assert kinds["built", True] == 4 and kinds["random", False] > 0
     assert kinds["cancel", True] >= 2
     assert sum(kinds.values()) == 12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_disc_derived_weights_on_seeded_exact_angles(n):
+    rng = random.Random("disc-angles-%d" % n)
+    classes = disc_boundary_classes(n, rng)
+    divisors = [d for d in range(1, 721) if 720 % d == 0]
+    for _ in range(20):
+        spin = SpinStructure.from_subset(
+            [i for i in range(1, n + 1) if rng.random() < 0.5], n)
+        angles = [Fraction(rng.randrange(q), q)
+                  for q in (rng.choice(divisors) for _ in range(n))]
+        hol = HolonomyAssignment.from_angles(angles)
+        c = disc_weights(spin, disc_holonomies(hol, classes), classes)
+        assert c == list(weights(spin, hol).c), (spin.eps, angles)
 
 
 def test_coboundary_complex_composites_vanish_for_unit_weights():
