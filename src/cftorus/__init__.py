@@ -4,8 +4,8 @@ Library layout:
 
 * :mod:`cftorus.scalars`  -- exact cyclotomic / tolerance-based complex backends
 * :mod:`cftorus.exterior` -- wedge matrices, the square-zero check, ranks
-* :mod:`cftorus.floer`    -- spin structures, holonomies, weights, disc classes, scan cells
-* :mod:`cftorus.discs`    -- Blaschke-product discs and the point solver
+* :mod:`cftorus.floer`    -- spin structures, holonomies, weights, scan cells
+* :mod:`cftorus.discs`    -- Blaschke-product discs, their Maslov index and the point solver
 * :mod:`cftorus.maslov`   -- numeric winding-number Maslov indices
 * :mod:`cftorus.signs`    -- Koszul reordering signs and the square-zero sign replay
 * :mod:`cftorus.oracle`   -- simplex coboundary ranks and the Koszul rescaling check
@@ -47,7 +47,7 @@ _LAZY = {
     ), "exterior"),
     "floer": "floer",
     **dict.fromkeys((
-        "HolonomyAssignment", "HomotopyClass", "RankTable", "SpinStructure",
+        "HolonomyAssignment", "RankTable", "SpinStructure",
         "WeightVector", "brane_configs", "evaluate_cell",
         "floer_ranks_bruteforce", "floer_ranks_closedform", "spin_configs",
         "standard_spin", "weights",
@@ -64,8 +64,8 @@ _LAZY = {
     "discs": "discs",
     **dict.fromkeys((
         "BlaschkeComponent", "BlaschkeDisc", "BlaschkeFactor",
-        "DegenerateDiscError", "MoebiusMap", "disc_eval", "disc_make",
-        "homotopy_class", "maslov_index", "psl2_act", "solve_disc_through_point",
+        "DegenerateDiscError", "disc_eval", "maslov_index",
+        "solve_disc_through_point",
     ), "discs"),
     "maslov": "maslov",
     **dict.fromkeys((

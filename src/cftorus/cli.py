@@ -3,8 +3,9 @@
 Commands: hf (one configuration), spin-scan, brane-scan, maslov-check,
 selftest.  Scans stream one result line per cell as soon as it is
 computed, under --jobs too, so partial runs stay usable; summaries go
-to stderr.  Exit codes: 0 success, 1 check failure, 2 usage error.  The
-env var CF_TOL overrides the default tolerance; --tol overrides both.
+to stderr.  Exit codes: 0 success, 1 check failure, 2 usage error, 141
+when the reader closes stdout.  The env var CF_TOL overrides the default
+tolerance; --tol overrides both.
 """
 
 from __future__ import annotations
@@ -479,22 +480,26 @@ def main(argv=None) -> int:
                 return 2
             spin = parse_spin(args.spin, args.n)
             holonomy = parse_holonomy(args.holonomy, args.n, tol, args.backend)
-            return cmd_hf(spin, holonomy, tol, args.format)
-        if args.command in SCANS:
-            return cmd_scan(args.command, args.n, tol, args.format, args.jobs)
-        if args.command == "maslov-check":
+            code = cmd_hf(spin, holonomy, tol, args.format)
+        elif args.command in SCANS:
+            code = cmd_scan(args.command, args.n, tol, args.format, args.jobs)
+        elif args.command == "maslov-check":
             if args.count < 0:
                 raise ValueError("--count must be at least 0, got %d" % args.count)
-            return cmd_maslov_check(args.count, args.seed, tol)
-        if args.command == "selftest":
-            return cmd_selftest(tol)
+            code = cmd_maslov_check(args.count, args.seed, tol)
+        else:  # selftest; argparse requires one of the commands
+            code = cmd_selftest(tol)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
+    except BrokenPipeError:  # exit 128 + SIGPIPE, with nothing left to flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except AssertionError as exc:  # a failed check, naming its cell
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -7,23 +7,18 @@ are stored by their zero lists, never by polynomial coefficients: the
 zeros are the canonical data and make the Maslov index a plain count,
 twice the total number of factors.
 
-Per-coordinate zero counts (mu_0,..,mu_n) pin the homotopy class; the
-boundary circle class is (mu_1 - mu_0, .., mu_n - mu_0) after
-eliminating the zeroth generator.
+Per-coordinate zero counts (mu_0,..,mu_n), `BlaschkeDisc.mu`, pin the
+homotopy class; the boundary circle class is (mu_1 - mu_0, .., mu_n - mu_0)
+after eliminating the zeroth generator.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import DEFAULT_TOL
-
-if TYPE_CHECKING:  # the exact stack and Fraction are imported where they are used
-    from fractions import Fraction
-
-    from .floer import HomotopyClass
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,62 +70,23 @@ def _finite_phase(theta, what: str) -> float:
     return theta % TWO_PI
 
 
-class MoebiusMap(_Frozen):
-    """Disc automorphism z -> exp(i*theta) (z - a)/(1 - conj(a) z)."""
-
-    _fields = _compared = ("theta", "a")
-
-    def __init__(self, theta: float = 0.0, a: complex = 0j):
-        if not abs(a) < 1.0:
-            if not cmath.isfinite(a):
-                raise ValueError("Moebius parameter a=%r is not finite" % (a,))
-            raise ValueError("Moebius parameter must lie inside the unit disc")
-        self.__dict__.update(theta=_finite_phase(theta, "Moebius angle"),
-                             a=complex(a))
-
-    def __call__(self, z: complex) -> complex:
-        return cmath.exp(1j * self.theta) * (z - self.a) / (1.0 - self.a.conjugate() * z)
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(-self.theta, -self.a * cmath.exp(1j * self.theta))
-
-
 class BlaschkeFactor(_Frozen):
-    """One factor (z - alpha)/(1 - conj(alpha) z), |alpha| < 1 strictly.
+    """One factor (z - alpha)/(1 - conj(alpha) z), |alpha| < 1 strictly."""
 
-    `exact` optionally keeps the zero as a Gaussian-rational pair so that
-    coincidence of zeros can be decided without tolerance.
-    """
+    _fields = _compared = ("alpha",)
 
-    _fields = _compared = ("alpha", "exact")
-
-    def __init__(self, alpha: complex,
-                 exact: Optional[Tuple[Fraction, Fraction]] = None):
+    def __init__(self, alpha: complex):
         alpha = complex(alpha)
         if not abs(alpha) < 1.0:
             if not cmath.isfinite(alpha):
                 raise ValueError("Blaschke zero %r is not finite" % (alpha,))
             raise ValueError("Blaschke zero must lie strictly inside the unit disc")
-        if exact is not None:
-            from fractions import Fraction
-
-            re, im = exact
-            exact = (Fraction(re), Fraction(im))
-        self.__dict__.update(alpha=alpha, exact=exact)
-
-    @classmethod
-    def from_rational(cls, re, im=0) -> "BlaschkeFactor":
-        from fractions import Fraction
-
-        re, im = Fraction(re), Fraction(im)
-        return cls(complex(float(re), float(im)), exact=(re, im))
+        self.__dict__.update(alpha=alpha)
 
     def eval(self, z: complex) -> complex:
         return (z - self.alpha) / (1.0 - self.alpha.conjugate() * z)
 
     def same_zero(self, other: "BlaschkeFactor", tol: float) -> bool:
-        if self.exact is not None and other.exact is not None:
-            return self.exact == other.exact
         return abs(self.alpha - other.alpha) < tol
 
 
@@ -147,10 +103,6 @@ class BlaschkeComponent(_Frozen):
     @property
     def degree(self) -> int:
         return len(self.factors)
-
-    @property
-    def zeros(self) -> Tuple[complex, ...]:
-        return tuple(f.alpha for f in self.factors)
 
     def eval(self, z: complex) -> complex:
         out = cmath.exp(1j * self.theta)
@@ -198,24 +150,14 @@ class BlaschkeDisc(_Frozen):
                             "coordinates share the zero %r" % (candidate.alpha,))
 
     @property
-    def n(self) -> int:
-        return len(self.components) - 1
-
-    @property
     def mu(self) -> Tuple[int, ...]:
         return tuple(c.degree for c in self.components)
-
-
-def disc_make(components: Sequence[BlaschkeComponent],
-              tol: float = DEFAULT_TOL) -> BlaschkeDisc:
-    """Validated disc; rejects boundary zeros and common zeros."""
-    return BlaschkeDisc(tuple(components), tol)
 
 
 def disc_eval(d: BlaschkeDisc, z: complex) -> Tuple[complex, ...]:
     """Homogeneous coordinates of the disc at |z| <= 1."""
     z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
+    if not abs(z) <= 1.0 + 1e-12:  # nan fails this too
         raise ValueError("evaluation point %r outside the closed disc" % (z,))
     return tuple(c.eval(z) for c in d.components)
 
@@ -223,34 +165,6 @@ def disc_eval(d: BlaschkeDisc, z: complex) -> Tuple[complex, ...]:
 def maslov_index(d: BlaschkeDisc) -> int:
     """Twice the total zero count across all coordinates."""
     return 2 * sum(d.mu)
-
-
-def homotopy_class(d: BlaschkeDisc) -> HomotopyClass:
-    """Intersection vector of the disc; `.boundary` gives its circle class."""
-    from .floer import HomotopyClass
-
-    return HomotopyClass(d.mu)
-
-
-def psl2_act(d: BlaschkeDisc, phi: MoebiusMap,
-             tol: float = DEFAULT_TOL) -> BlaschkeDisc:
-    """The reparametrized disc d o phi^(-1), again in Blaschke form.
-
-    Each factor's zero moves to phi(zero); the residual unit constant is
-    matched by evaluation at z = 1, so the result is the same map of the
-    disc, not merely the same homotopy class.
-    """
-    inv = phi.inverse()
-    new_components = []
-    for comp in d.components:
-        moved = tuple(BlaschkeFactor(phi(f.alpha)) for f in comp.factors)
-        base = BlaschkeComponent(0.0, moved)
-        target = comp.eval(inv(1.0 + 0j))
-        ratio = target / base.eval(1.0 + 0j)
-        if abs(abs(ratio) - 1.0) > max(tol, 1e-7):
-            raise AssertionError("phase matching lost unit modulus: %r" % (ratio,))
-        new_components.append(BlaschkeComponent(cmath.phase(ratio), moved))
-    return BlaschkeDisc(tuple(new_components), tol)
 
 
 def solve_disc_through_point(class_index: int, target: Sequence[complex],
@@ -269,10 +183,10 @@ def solve_disc_through_point(class_index: int, target: Sequence[complex],
     phases = []
     for t in target:
         t = complex(t)
-        if abs(abs(t) - 1.0) > max(tol, 1e-7):
+        if not abs(abs(t) - 1.0) <= max(tol, 1e-7):
             raise ValueError("target entry %r is not unit modulus" % (t,))
         phases.append(cmath.phase(t) % TWO_PI)
-    zero_factor = (BlaschkeFactor(0j, exact=(0, 0)),)
+    zero_factor = (BlaschkeFactor(0j),)
     components = [BlaschkeComponent(0.0, zero_factor if class_index == 0 else ())]
     for j, psi in enumerate(phases, start=1):
         factors = zero_factor if j == class_index else ()
@@ -300,7 +214,8 @@ def random_disc(rng, n: int, max_degree: int = 4, chart0: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# JSON form: {"components": [{"theta": "p/q"|float, "zeros": [{"re","im"}]}]}
+# JSON form, written for maslov-check's mismatch records:
+# {"components": [{"theta": float, "zeros": [{"re": float, "im": float}]}]}
 # ---------------------------------------------------------------------------
 
 def disc_to_json_dict(d: BlaschkeDisc) -> dict:
@@ -313,17 +228,3 @@ def disc_to_json_dict(d: BlaschkeDisc) -> dict:
             for c in d.components
         ]
     }
-
-
-def disc_from_json_dict(data: dict, tol: float = DEFAULT_TOL) -> BlaschkeDisc:
-    components = []
-    for entry in data["components"]:
-        theta = entry.get("theta", 0.0)
-        if isinstance(theta, str):
-            from fractions import Fraction
-
-            theta = TWO_PI * float(Fraction(theta))
-        factors = tuple(BlaschkeFactor(complex(zd["re"], zd["im"]))
-                        for zd in entry.get("zeros", ()))
-        components.append(BlaschkeComponent(float(theta), factors))
-    return BlaschkeDisc(tuple(components), tol)

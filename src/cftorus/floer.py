@@ -288,38 +288,6 @@ def floer_ranks_closedform(w: WeightVector, tol: float = DEFAULT_TOL) -> RankTab
 
 
 # ---------------------------------------------------------------------------
-# disc homotopy classes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HomotopyClass:
-    """Disc class recorded by its intersection vector (mu_0,..,mu_n)."""
-
-    mu: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.mu) < 2:
-            raise ValueError("need mu_0..mu_n with n >= 1")
-        for m in self.mu:
-            if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-                raise ValueError("intersection counts must be integers >= 0, "
-                                 "got %r in %r" % (m, self.mu))
-
-    @property
-    def n(self) -> int:
-        return len(self.mu) - 1
-
-    @property
-    def maslov_index(self) -> int:
-        return 2 * sum(self.mu)
-
-    @property
-    def boundary(self) -> Tuple[int, ...]:
-        """Boundary class in H_1(T^n), via L_0 = -L_1 - .. - L_n."""
-        return tuple(self.mu[j] - self.mu[0] for j in range(1, len(self.mu)))
-
-
-# ---------------------------------------------------------------------------
 # scan cells and the enumerations the scans run over
 # ---------------------------------------------------------------------------
 

@@ -89,6 +89,15 @@ MUTANTS = [
            "zip(spin.eps, holonomy.with_h0())",
            "zip((1, *spin.eps[1:]), holonomy.with_h0())",
            ("tests/test_floer.py", "-k", "disc_derived")),
+    Mutant("h0-not-inverted", "src/cftorus/floer.py",
+           "angle0 = -sum(angles, Fraction(0))", "angle0 = sum(angles, Fraction(0))",
+           ("tests/test_floer.py", "-k", "disc_derived")),
+    Mutant("maslov-index-halved", "src/cftorus/discs.py",
+           "return 2 * sum(d.mu)", "return sum(d.mu)",
+           ("tests/test_discs.py",)),
+    Mutant("disc-eval-admits-nan", "src/cftorus/discs.py",
+           "if not abs(z) <= 1.0 + 1e-12:", "if abs(z) > 1.0 + 1e-12:",
+           ("tests/test_discs.py",)),
 ]
 
 #: name -> why no test can tell the mutant from the original

@@ -66,15 +66,6 @@ UNREACHED = {
     # assignment): the commands build discs but never compare or edit them
     "discs:_Frozen._key", "discs:_Frozen.__eq__", "discs:_Frozen.__hash__",
     "discs:_Frozen.__repr__", "discs:_Frozen.__setattr__", "discs:_Frozen.__delattr__",
-    # disc library API: reparametrization, disc classes, reading JSON back
-    "discs:MoebiusMap.__init__", "discs:MoebiusMap.__call__", "discs:MoebiusMap.inverse",
-    "discs:psl2_act", "discs:BlaschkeFactor.from_rational",
-    "discs:BlaschkeComponent.zeros", "discs:BlaschkeDisc.n", "discs:disc_make",
-    "discs:homotopy_class", "discs:disc_from_json_dict",
-    # disc classes as values: discs.homotopy_class builds them, and only
-    # library callers read their counts, index and boundary
-    "floer:HomotopyClass.__post_init__", "floer:HomotopyClass.n",
-    "floer:HomotopyClass.boundary", "floer:HomotopyClass.maslov_index",
     # floer value helpers for library callers
     "floer:SpinStructure.is_standard", "floer:SpinStructure.label_bits",
     "floer:SpinStructure.twisted_subset", "floer:HolonomyAssignment.__repr__",

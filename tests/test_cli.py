@@ -60,6 +60,17 @@ def test_hf_sign_vector_spin(capsys):
     assert json.loads(out)["spin"] == [-1, -1, 1]
 
 
+def test_hf_negative_holonomy_needs_the_equals_form(capsys):
+    # argparse reads a separate "-1/3" as an option, so --holonomy has no
+    # value; "--holonomy=-1/3" keeps it, and -1/3 is the angle 2/3
+    code, out, err = run_cli(capsys, ["hf", "--n", "1", "--holonomy", "-1/3"])
+    assert (code, out) == (2, "")
+    assert "argument --holonomy: expected one argument" in err
+    code, out, _ = run_cli(capsys, ["hf", "--n", "1", "--holonomy=-1/3"])
+    assert code == 0
+    assert json.loads(out)["holonomy"] == ["2/3"]
+
+
 def test_hf_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, ["hf", "--n", "2", "--holonomy", "1/3"])
     assert code == 2
@@ -610,15 +621,15 @@ PUBLIC_NAMES = """
     ApproxComplex BlaschkeComponent BlaschkeDisc BlaschkeFactor ChartError
     Cyclotomic DEFAULT_TOL DegenerateDiscError
     FrameError FrameLoop GradedMatrixComplex HolonomyAssignment
-    HomotopyClass LagrangianFrame MoebiusMap NotAComplexError
+    LagrangianFrame NotAComplexError
     OrientedFactor OrientedFactorization RankTable SpinStructure
     UndersampledLoopError WeightVector b_map boundary_fibre_signs brane_configs
     cohomology_ranks
-    disc_boundary_maslov disc_eval disc_make discs evaluate_cell
+    disc_boundary_maslov disc_eval discs evaluate_cell
     exterior floer
     floer_ranks_bruteforce floer_ranks_closedform gluing_sign
-    homotopy_class index_sets koszul_complex koszul_rescale_check
-    loop_maslov maslov maslov_index moduli_dim oracle permute_sign psl2_act rank
+    index_sets koszul_complex koszul_rescale_check
+    loop_maslov maslov maslov_index moduli_dim oracle permute_sign rank
     root_of_unity scalar_is_zero scalars signs simplex_coboundary
     solve_disc_through_point spin_configs squarezero_chain
     standard_spin wedge_by_vector weights winding_number
@@ -643,7 +654,7 @@ PUBLIC_SIGNATURES = {
     'ApproxComplex': '(real=0.0, imag=0.0)',
     'BlaschkeComponent': '(theta=0.0, factors=())',
     'BlaschkeDisc': '(components, tol=1e-09)',
-    'BlaschkeFactor': '(alpha, exact=None)',
+    'BlaschkeFactor': '(alpha)',
     'ChartError': None,
     'Cyclotomic': '(order, coeffs)',
     'DegenerateDiscError': None,
@@ -651,9 +662,7 @@ PUBLIC_SIGNATURES = {
     'FrameLoop': '(frames)',
     'GradedMatrixComplex': '(matrices, modulus=None)',
     'HolonomyAssignment': '(h=None, h0=None, angles=None, tol=1e-09)',
-    'HomotopyClass': '(mu)',
     'LagrangianFrame': '(matrix, tol=1e-09)',
-    'MoebiusMap': '(theta=0.0, a=0j)',
     'NotAComplexError': None,
     'OrientedFactor': '(label, dim)',
     'OrientedFactorization': '(factors)',
@@ -667,12 +676,10 @@ PUBLIC_SIGNATURES = {
     'cohomology_ranks': '(cx, tol=1e-09)',
     'disc_boundary_maslov': '(d, tol=1e-09, samples=256, max_samples=16384)',
     'disc_eval': '(d, z)',
-    'disc_make': '(components, tol=1e-09)',
     'evaluate_cell': '(spin, holonomy, tol=1e-09)',
     'floer_ranks_bruteforce': '(w, tol=1e-09)',
     'floer_ranks_closedform': '(w, tol=1e-09)',
     'gluing_sign': '(dim_l)',
-    'homotopy_class': '(d)',
     'index_sets': '(n, k)',
     'koszul_complex': '(v, modulus=None)',
     'koszul_rescale_check': '(w, tol=1e-09)',
@@ -680,7 +687,6 @@ PUBLIC_SIGNATURES = {
     'maslov_index': '(d)',
     'moduli_dim': '(n, mu, marked_points=2)',
     'permute_sign': '(f, perm)',
-    'psl2_act': '(d, phi, tol=1e-09)',
     'rank': '(matrix, tol=1e-09, modulus=None)',
     'root_of_unity': '(p, q)',
     'scalar_is_zero': '(x, tol=1e-09)',
@@ -948,6 +954,21 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
     # does: the scan's 111 kB of records overfill the pipe, so it is still
     # writing when the pipe closes
     proc = subprocess.Popen([sys.executable, "-m", "cftorus", "brane-scan", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=CHILD_ENV)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert (proc.wait(timeout=60), err) == (141, "")
+    assert json.loads(first)["holonomy"] == ["0/1"] * 4
+
+
+def test_the_console_script_form_exits_141_on_a_closed_stdout():
+    # the installed `cftorus` script calls cli.main directly, as this
+    # wrapper does, without passing through cftorus/__main__.py
+    wrapper = "import sys; from cftorus.cli import main; sys.exit(main())"
+    proc = subprocess.Popen([sys.executable, "-c", wrapper, "brane-scan", "4"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=CHILD_ENV)
     first = proc.stdout.readline()

@@ -11,11 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from cftorus.discs import disc_eval, homotopy_class, solve_disc_through_point
+from cftorus.discs import disc_eval, solve_disc_through_point
 from cftorus.exterior import cohomology_ranks, koszul_complex
 from cftorus.floer import (
     HolonomyAssignment,
-    HomotopyClass,
     RankTable,
     SpinStructure,
     WeightVector,
@@ -388,26 +387,6 @@ def test_rank_tables_invariant_under_common_unit_scaling():
             assert floer_ranks_bruteforce(w) == floer_ranks_bruteforce(scaled)
 
 
-# -- homotopy classes ------------------------------------------------------------
-
-def test_homotopy_class_boundary_elimination():
-    assert HomotopyClass((0, 1, 0)).boundary == (1, 0)
-    assert HomotopyClass((1, 1, 1)).boundary == (0, 0)
-    assert HomotopyClass((2, 0, 0)).boundary == (-2, -2)
-
-
-def test_homotopy_class_maslov_index_is_twice_the_count():
-    assert HomotopyClass((1, 0, 0, 0)).maslov_index == 2
-    assert HomotopyClass((2, 1, 0)).maslov_index == 6
-
-
-@pytest.mark.parametrize("mu", [("a", 1), (None, 1), (True, 1), (1, 2.0), (0, -1)])
-def test_homotopy_class_refuses_non_integer_counts_by_name(mu):
-    bad = next(m for m in mu if type(m) is not int or m < 0)
-    with pytest.raises(ValueError, match="got %s in" % re.escape(repr(bad))):
-        HomotopyClass(mu)
-
-
 # -- scans -----------------------------------------------------------------------
 
 def spin_cells(n):
@@ -486,7 +465,7 @@ def disc_boundary_classes(n, rng):
 
     Each minimal disc passes through one seeded torus point; its class in
     H_1(T^n) is the winding of z_i/z_0 (i = 1..n) around the boundary,
-    held to the class the disc's zero counts give.
+    held to (mu_1 - mu_0, .., mu_n - mu_0), the class its zero counts give.
     """
     target = [cmath.exp(2j * math.pi * rng.random()) for _ in range(n)]
     circle = [cmath.exp(2j * math.pi * k / 32) for k in range(32)]
@@ -496,7 +475,7 @@ def disc_boundary_classes(n, rng):
         points = [disc_eval(d, z) for z in circle]
         wound = tuple(winding_number([p[i] / p[0] for p in points])
                       for i in range(1, n + 1))
-        assert wound == homotopy_class(d).boundary, (n, j)
+        assert wound == tuple(m - d.mu[0] for m in d.mu[1:]), (n, j)
         classes.append(wound)
     return classes
 

@@ -9,8 +9,8 @@ import pytest
 
 from cftorus.discs import (
     BlaschkeComponent,
+    BlaschkeDisc,
     BlaschkeFactor,
-    disc_make,
     disc_to_json_dict,
     maslov_index,
     random_disc,
@@ -404,7 +404,7 @@ def test_loop_invariant_under_fixed_orthogonal_change():
 def standard_disc(i, n):
     comps = [BlaschkeComponent(0.0, (BlaschkeFactor(0j),) if j == i else ())
              for j in range(n + 1)]
-    return disc_make(comps)
+    return BlaschkeDisc(comps)
 
 
 def test_standard_disc_numeric_index_is_two():
@@ -416,11 +416,11 @@ def test_degree_three_component_gives_six():
              BlaschkeComponent(0.2, tuple(BlaschkeFactor(0.3 * 1j ** k)
                                           for k in range(3))),
              BlaschkeComponent(1.0)]
-    assert disc_boundary_maslov(disc_make(comps)) == 6
+    assert disc_boundary_maslov(BlaschkeDisc(comps)) == 6
 
 
 def test_constant_disc_has_index_zero():
-    d = disc_make([BlaschkeComponent(0.4), BlaschkeComponent(1.7)])
+    d = BlaschkeDisc([BlaschkeComponent(0.4), BlaschkeComponent(1.7)])
     assert disc_boundary_maslov(d) == 0
 
 
@@ -463,7 +463,7 @@ def test_zero_near_boundary_forces_adaptive_resampling():
     comps = [BlaschkeComponent(),
              BlaschkeComponent(0.1, (BlaschkeFactor(0.98 + 0j),)),
              BlaschkeComponent(0.4)]
-    d = disc_make(comps)
+    d = BlaschkeDisc(comps)
     assert disc_boundary_maslov(d) == 2
     with pytest.raises(UndersampledLoopError):
         disc_boundary_maslov(d, max_samples=256)
@@ -476,9 +476,9 @@ def test_shared_sample_circle_gives_the_fresh_circle_index():
     rng = random.Random(53)
     ds = [random_disc(rng, rng.randint(1, 4), max_degree=4, chart0=True)
           for _ in range(30)]
-    ds.append(disc_make([BlaschkeComponent(),
-                         BlaschkeComponent(0.1, (BlaschkeFactor(0.98 + 0j),)),
-                         BlaschkeComponent(0.4)]))
+    ds.append(BlaschkeDisc([BlaschkeComponent(),
+                            BlaschkeComponent(0.1, (BlaschkeFactor(0.98 + 0j),)),
+                            BlaschkeComponent(0.4)]))
     _circle.cache_clear()
     shared = [disc_boundary_maslov(d) for d in ds]
     assert _circle.cache_info().hits > 0
