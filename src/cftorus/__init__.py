@@ -7,7 +7,6 @@ Library layout:
 * :mod:`cftorus.floer`    -- spin structures, holonomies, weights, scan cells
 * :mod:`cftorus.discs`    -- Blaschke-product discs, their Maslov index and the point solver
 * :mod:`cftorus.maslov`   -- numeric winding-number Maslov indices
-* :mod:`cftorus.signs`    -- Koszul reordering signs and the square-zero sign replay
 * :mod:`cftorus.oracle`   -- simplex coboundary ranks and the Koszul rescaling check
 * :mod:`cftorus.cli`      -- the ``cftorus`` command
 
@@ -52,11 +51,6 @@ _LAZY = {
         "floer_ranks_bruteforce", "floer_ranks_closedform", "spin_configs",
         "standard_spin", "weights",
     ), "floer"),
-    "signs": "signs",
-    **dict.fromkeys((
-        "OrientedFactor", "OrientedFactorization", "boundary_fibre_signs",
-        "gluing_sign", "moduli_dim", "permute_sign", "squarezero_chain",
-    ), "signs"),
     "oracle": "oracle",
     **dict.fromkeys((
         "koszul_rescale_check", "simplex_coboundary",

@@ -310,7 +310,7 @@ def _require(ok: bool, message: str, *args) -> None:
 def _selftest_checks(tol: float):
     from fractions import Fraction
 
-    from . import discs, maslov, oracle, signs
+    from . import discs, maslov, oracle
     from .exterior import NotAComplexError
     from .floer import WeightVector, brane_configs, floer_ranks_bruteforce, spin_configs
 
@@ -338,12 +338,6 @@ def _selftest_checks(tol: float):
                 floer_ranks_bruteforce(WeightVector.from_vector(v), tol)
             except NotAComplexError as exc:
                 _require(False, "n=%d, v=%s: %s", n, ",".join(map(str, v)), exc)
-
-    def sign_chain():
-        for n in range(1, 7):
-            for mu in range(2, 11, 2):
-                got = signs.squarezero_chain(n, mu)
-                _require(got == (-1, -1), "n=%d, mu=%d: coefficients %r", n, mu, got)
 
     def oracle_rescale():
         w = [Fraction(1), Fraction(2), Fraction(3)]
@@ -373,7 +367,6 @@ def _selftest_checks(tol: float):
         ("spin dichotomy ranks", spin_dichotomy),
         ("brane count n=2", brane_count),
         ("coboundary squares to zero", coboundary_squares_to_zero),
-        ("square-zero sign chain", sign_chain),
         ("coboundary rescales to simplex", oracle_rescale),
         ("numeric vs combinatorial index", maslov_numeric),
         ("disc solver round-trip", disc_solver_roundtrip),

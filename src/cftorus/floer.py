@@ -91,14 +91,6 @@ class SpinStructure:
             eps0 *= e
         return cls((eps0, *body))
 
-    @property
-    def twisted_subset(self) -> Tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.eps[i] == -1)
-
-    def label_bits(self) -> Tuple[int, ...]:
-        """(a_1,..,a_n) with a_i = 1 exactly on the twisted generators."""
-        return tuple(1 if self.eps[i] == -1 else 0 for i in range(1, self.n + 1))
-
     def is_standard(self) -> bool:
         return all(e == 1 for e in self.eps)
 
@@ -253,10 +245,6 @@ class RankTable:
     """
 
     by_lambda_degree: Tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.by_lambda_degree) - 1
 
     @property
     def by_cochain_degree(self) -> Tuple[int, ...]:

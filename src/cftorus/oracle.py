@@ -6,7 +6,7 @@ and its coboundary row at J reads sum_s (-1)**(s-1) A_(J minus s-th
 member).  Two facts get exercised here:
 
 * the simplex has no cohomology between top and bottom, so the ranks
-  from `simplex_rank_profile` in degrees k - 1 and k add up to C(n, k);
+  of its coboundaries in degrees k - 1 and k add up to C(n, k);
 * rescaling the weighted coboundary by prod_(i in I) v_i turns it into
   (-1)**n times the bare simplex coboundary whenever every weight v_i is
   nonzero, which is exactly why nontrivial weights kill every rank.
@@ -14,7 +14,7 @@ member).  Two facts get exercised here:
 
 from __future__ import annotations
 
-from .exterior import index_sets, rank, wedge_by_vector, _basis_positions
+from .exterior import index_sets, wedge_by_vector, _basis_positions
 from .scalars import DEFAULT_TOL, scalar_is_zero
 
 
@@ -57,8 +57,3 @@ def koszul_rescale_check(w, tol: float = DEFAULT_TOL) -> bool:
                                       - want.get(c, 0) * scale[J], bound):
                     return False
     return True
-
-
-def simplex_rank_profile(n: int, tol: float = DEFAULT_TOL):
-    """Ranks of the simplex coboundaries, degree by degree."""
-    return [rank(simplex_coboundary(n, k), tol) for k in range(n)]

@@ -98,6 +98,12 @@ MUTANTS = [
     Mutant("disc-eval-admits-nan", "src/cftorus/discs.py",
            "if not abs(z) <= 1.0 + 1e-12:", "if abs(z) > 1.0 + 1e-12:",
            ("tests/test_discs.py",)),
+    Mutant("closedform-total-exceeds-2^n", "src/cftorus/floer.py",
+           "comb(n, k) for k in range(n + 1)", "comb(n, k) + 1 for k in range(n + 1)",
+           ("tests/test_abstract_claims.py", "-k", "displacement")),
+    Mutant("residue-limit-doubled", "src/cftorus/maslov.py",
+           "RESIDUE_LIMIT = 0.1", "RESIDUE_LIMIT = 0.2",
+           ("tests/test_maslov.py",)),
 ]
 
 #: name -> why no test can tell the mutant from the original
@@ -110,6 +116,10 @@ EQUIVALENT = {
         "filing each pivot under its first nonzero column instead of its "
         "last is still a division-free row echelon elimination, with the "
         "same rank",
+    "residue-limit-doubled":
+        "on a closed list of samples the principal steps of consecutive "
+        "ratios sum to a multiple of 2 pi up to rounding, about 1e-16 per "
+        "step, so no residue comes near either limit",
 }
 
 

@@ -16,6 +16,11 @@ coboundary square to zero: expanding delta_0 applied to a disc-class
 term produces the split-class composition and the delta_0-on-the-chain
 term, each with coefficient -1, cancelling the other two terms of the
 square.  Its docstring lists the steps of the replay.
+
+No cell's answer reads these signs, so the module lives with the tests
+(tests/test_signs.py and acceptance criterion 7 run it).  The spin signs
+that decide cells are held by the disc-derived weights oracle in
+tests/test_floer.py.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ from cftorus.floer import (
 from cftorus.maslov import disc_boundary_maslov
 from cftorus.oracle import koszul_rescale_check
 from cftorus.scalars import ApproxComplex, root_of_unity
-from cftorus.signs import boundary_fibre_signs, squarezero_chain
 from reference import dense, reference_matmul
+from signs import boundary_fibre_signs, squarezero_chain
 
 
 def _report(label, budget_seconds, body):

@@ -67,17 +67,14 @@ UNREACHED = {
     "discs:_Frozen._key", "discs:_Frozen.__eq__", "discs:_Frozen.__hash__",
     "discs:_Frozen.__repr__", "discs:_Frozen.__setattr__", "discs:_Frozen.__delattr__",
     # floer value helpers for library callers
-    "floer:SpinStructure.is_standard", "floer:SpinStructure.label_bits",
-    "floer:SpinStructure.twisted_subset", "floer:HolonomyAssignment.__repr__",
-    "floer:WeightVector.__repr__", "floer:RankTable.n",
+    "floer:SpinStructure.is_standard", "floer:HolonomyAssignment.__repr__",
+    "floer:WeightVector.__repr__",
     # the numpy frame stack: the per-frame Maslov route, which the disc path
     # replaced and the benchmark tracer still patches
     "maslov:LagrangianFrame.__init__", "maslov:LagrangianFrame.__post_init__",
     "maslov:LagrangianFrame.n", "maslov:FrameLoop.__init__", "maslov:b_map",
     "maslov:diag_phase_frame", "maslov:loop_maslov", "maslov:_stack_maslov",
     "maslov:_check_unitary", "maslov:_plane_invariants",
-    # the simplex ranks that the oracle tests compare against
-    "oracle:simplex_rank_profile",
     # Cyclotomic's string and complex forms, for the approximate routes and
     # refusal messages: the commands add, subtract, multiply and reduce mod
     # p only

@@ -609,8 +609,8 @@ def test_import_cftorus_loads_no_submodule():
 
 @pytest.mark.parametrize("module", ["cftorus.floer", "cftorus.exterior",
                                     "cftorus.scalars", "cftorus.oracle",
-                                    "cftorus.signs", "dataclasses", "inspect",
-                                    "fractions", "decimal"])
+                                    "dataclasses", "inspect", "fractions",
+                                    "decimal"])
 def test_maslov_check_never_loads_the_exact_stack(module):
     assert loaded_after(module, ["maslov-check", "--count", "1"]) == [False] * 3
 
@@ -621,17 +621,16 @@ PUBLIC_NAMES = """
     ApproxComplex BlaschkeComponent BlaschkeDisc BlaschkeFactor ChartError
     Cyclotomic DEFAULT_TOL DegenerateDiscError
     FrameError FrameLoop GradedMatrixComplex HolonomyAssignment
-    LagrangianFrame NotAComplexError
-    OrientedFactor OrientedFactorization RankTable SpinStructure
-    UndersampledLoopError WeightVector b_map boundary_fibre_signs brane_configs
+    LagrangianFrame NotAComplexError RankTable SpinStructure
+    UndersampledLoopError WeightVector b_map brane_configs
     cohomology_ranks
     disc_boundary_maslov disc_eval discs evaluate_cell
     exterior floer
-    floer_ranks_bruteforce floer_ranks_closedform gluing_sign
+    floer_ranks_bruteforce floer_ranks_closedform
     index_sets koszul_complex koszul_rescale_check
-    loop_maslov maslov maslov_index moduli_dim oracle permute_sign rank
-    root_of_unity scalar_is_zero scalars signs simplex_coboundary
-    solve_disc_through_point spin_configs squarezero_chain
+    loop_maslov maslov maslov_index oracle rank
+    root_of_unity scalar_is_zero scalars simplex_coboundary
+    solve_disc_through_point spin_configs
     standard_spin wedge_by_vector weights winding_number
 """.split()
 
@@ -664,14 +663,11 @@ PUBLIC_SIGNATURES = {
     'HolonomyAssignment': '(h=None, h0=None, angles=None, tol=1e-09)',
     'LagrangianFrame': '(matrix, tol=1e-09)',
     'NotAComplexError': None,
-    'OrientedFactor': '(label, dim)',
-    'OrientedFactorization': '(factors)',
     'RankTable': '(by_lambda_degree)',
     'SpinStructure': '(eps)',
     'UndersampledLoopError': None,
     'WeightVector': '(c, v)',
     'b_map': '(frame, tol=1e-09)',
-    'boundary_fibre_signs': '(x, l)',
     'brane_configs': '(n)',
     'cohomology_ranks': '(cx, tol=1e-09)',
     'disc_boundary_maslov': '(d, tol=1e-09, samples=256, max_samples=16384)',
@@ -679,21 +675,17 @@ PUBLIC_SIGNATURES = {
     'evaluate_cell': '(spin, holonomy, tol=1e-09)',
     'floer_ranks_bruteforce': '(w, tol=1e-09)',
     'floer_ranks_closedform': '(w, tol=1e-09)',
-    'gluing_sign': '(dim_l)',
     'index_sets': '(n, k)',
     'koszul_complex': '(v, modulus=None)',
     'koszul_rescale_check': '(w, tol=1e-09)',
     'loop_maslov': '(loop, tol=1e-09, step_limit=3.141592653589793)',
     'maslov_index': '(d)',
-    'moduli_dim': '(n, mu, marked_points=2)',
-    'permute_sign': '(f, perm)',
     'rank': '(matrix, tol=1e-09, modulus=None)',
     'root_of_unity': '(p, q)',
     'scalar_is_zero': '(x, tol=1e-09)',
     'simplex_coboundary': '(n, k)',
     'solve_disc_through_point': '(class_index, target, tol=1e-09)',
     'spin_configs': '(n)',
-    'squarezero_chain': '(n, mu_a)',
     'standard_spin': '(n)',
     'wedge_by_vector': '(v, k)',
     'weights': '(spin, holonomy)',
@@ -1064,8 +1056,8 @@ def test_selftest_passes(capsys):
 
 def test_selftest_fails_a_broken_check_under_python_O():
     # -O strips assert statements; the checks must fail without them
-    script = ("import sys; from cftorus import cli, signs; "
-              "signs.squarezero_chain = lambda n, mu: (1, 1); "
+    script = ("import sys; from cftorus import cli, oracle; "
+              "oracle.koszul_rescale_check = lambda w, tol: False; "
               "sys.exit(cli.main(['selftest']))")
     done = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=CHILD_ENV)
@@ -1074,8 +1066,7 @@ def test_selftest_fails_a_broken_check_under_python_O():
         "ok   spin dichotomy ranks",
         "ok   brane count n=2",
         "ok   coboundary squares to zero",
-        "FAIL square-zero sign chain: n=1, mu=2: coefficients (1, 1)",
-        "ok   coboundary rescales to simplex",
+        "FAIL coboundary rescales to simplex: weights 1, 2, 3 do not rescale",
         "ok   numeric vs combinatorial index",
         "ok   disc solver round-trip",
     ]

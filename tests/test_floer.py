@@ -15,7 +15,6 @@ from cftorus.discs import disc_eval, solve_disc_through_point
 from cftorus.exterior import cohomology_ranks, koszul_complex
 from cftorus.floer import (
     HolonomyAssignment,
-    RankTable,
     SpinStructure,
     WeightVector,
     brane_configs,
@@ -64,8 +63,8 @@ def test_spin_rejects_bad_vectors():
 
 def test_spin_label_bits():
     s = SpinStructure.from_subset({2}, 3)
-    assert s.label_bits() == (0, 1, 0)
-    assert s.twisted_subset == (2,)
+    assert s.eps == (-1, 1, -1, 1)
+    assert tuple(int(e == -1) for e in s.eps[1:]) == (0, 1, 0)
     assert not s.is_standard()
 
 
@@ -330,8 +329,6 @@ def test_closedform_all_twisted_odd():
 def test_cochain_degree_relabeling():
     table = floer_ranks_bruteforce(WeightVector.from_vector([0, 0, 0]))
     assert table.by_lambda_degree == (1, 3, 3, 1)
-    assert table.n == 3
-    assert RankTable((1, 1)).n == 1
     assert table.by_cochain_degree == tuple(reversed(table.by_lambda_degree))
 
 
@@ -492,7 +489,7 @@ def disc_holonomies(hol, classes):
 def disc_weights(spin, holonomies, classes):
     """c_j = (-1)^<a, d_beta_j> z_j, a the spin's label bits: eps_0 and h_0
     come out of d_beta_0 rather than being put in."""
-    a = spin.label_bits()
+    a = tuple(int(e == -1) for e in spin.eps[1:])
     return [pair[sum(x * k for x, k in zip(a, b)) % 2]
             for pair, b in zip(holonomies, classes)]
 
@@ -558,7 +555,7 @@ def _mixed_cells_at_lcm_720(rng, n):
         # every twist is met so, and the cell survives; else at one j
         spin = spin_of(rng.randrange(1, 1 << n))
         keys = common_key(spin, 0) if i % 2 else [angle() for _ in range(n)]
-        keys[rng.choice(spin.twisted_subset) - 1] = q // 2
+        keys[rng.choice([j for j, e in enumerate(spin.eps[1:]) if e == -1])] = q // 2
         yield "cancel", spin, keys
     for _ in range(4):
         spin = spin_of(rng.randrange(1 << n))

@@ -1,6 +1,6 @@
 """The pinned mutant set of tests/mutants.py still applies to the source.
 
-The harness itself runs outside the tier-1 tests (about 55 s); this keeps
+The harness itself runs outside the tier-1 tests (about 70 s); this keeps
 its list honest: a refactor that moves or rewrites a snippet fails here
 until the list is updated.
 """

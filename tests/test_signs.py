@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cftorus.signs import (
+from signs import (
     OrientedFactor,
     OrientedFactorization,
     boundary_fibre_signs,
